@@ -35,7 +35,7 @@
 
 use std::io::{BufReader, BufWriter};
 
-use smappic_bench::{extract_key, splice_key};
+use smappic_bench::write_sections;
 use smappic_core::{Config, Platform, Topology, DRAM_BASE};
 use smappic_sim::{CountingSink, EthParams, Snapshot, StreamSink};
 use smappic_tile::{TraceCore, TraceOp};
@@ -199,17 +199,7 @@ fn scale64() {
         ),
         raw, compressed, ratio, mem_rss, file_rss
     );
-    let existing = std::fs::read_to_string("BENCH_SIMPERF.json")
-        .unwrap_or_else(|_| "{\n  \"bench\": \"simperf\"\n}\n".to_string());
-    let merged = splice_key(&existing, "snapshot", &value);
-    for key in ["runs", "scale", "service"] {
-        assert_eq!(
-            extract_key(&existing, key).is_some(),
-            extract_key(&merged, key).is_some(),
-            "snapshot merge must preserve the {key} section"
-        );
-    }
-    std::fs::write("BENCH_SIMPERF.json", merged).expect("write BENCH_SIMPERF.json");
+    write_sections("BENCH_SIMPERF.json", &[("snapshot", &value)]);
     println!("merged snapshot section into BENCH_SIMPERF.json");
 }
 

@@ -40,7 +40,7 @@
 
 use std::time::Instant;
 
-use smappic_bench::{arg_usize, design_sweep, extract_key, jobs_per_hour, splice_key};
+use smappic_bench::{arg_usize, design_sweep, jobs_per_hour, write_sections};
 use smappic_service::{
     CheckpointPolicy, ElasticPolicy, JobSpec, PreemptMode, Scheduler, SchedulerConfig, StepperSpec,
     TenantQuota, TopoSpec, WorkloadSpec,
@@ -241,18 +241,7 @@ fn main() {
         speedup,
         speedup_asserted
     );
-    let existing = std::fs::read_to_string("BENCH_SIMPERF.json")
-        .unwrap_or_else(|_| "{\n  \"bench\": \"simperf\"\n}\n".to_string());
-    // Self-check the merge kept sibling sections before writing.
-    let merged = splice_key(&existing, "service", &value);
-    for key in ["runs", "scale"] {
-        assert_eq!(
-            extract_key(&existing, key).is_some(),
-            extract_key(&merged, key).is_some(),
-            "service merge must preserve the {key} section"
-        );
-    }
-    std::fs::write("BENCH_SIMPERF.json", merged).expect("write BENCH_SIMPERF.json");
+    write_sections("BENCH_SIMPERF.json", &[("service", &value)]);
     println!("merged service section into BENCH_SIMPERF.json");
 
     write_reports(&pool_reports);
@@ -441,17 +430,7 @@ fn saturation(jobs: usize) {
         max_workers,
         tenants_json,
     );
-    let existing = std::fs::read_to_string("BENCH_SIMPERF.json")
-        .unwrap_or_else(|_| "{\n  \"bench\": \"simperf\"\n}\n".to_string());
-    let merged = splice_key(&existing, "fleet", &value);
-    for key in ["runs", "scale", "service"] {
-        assert_eq!(
-            extract_key(&existing, key).is_some(),
-            extract_key(&merged, key).is_some(),
-            "fleet merge must preserve the {key} section"
-        );
-    }
-    std::fs::write("BENCH_SIMPERF.json", merged).expect("write BENCH_SIMPERF.json");
+    write_sections("BENCH_SIMPERF.json", &[("fleet", &value)]);
     println!("merged fleet section into BENCH_SIMPERF.json");
 
     write_reports(&fleet.reports);

@@ -677,16 +677,13 @@ fn scale_main(cycles: u64) {
         entries.join(",\n")
     );
 
-    let existing = std::fs::read_to_string("BENCH_SIMPERF.json")
-        .unwrap_or_else(|_| "{\n  \"bench\": \"simperf\"\n}\n".to_string());
-    let merged = splice_key(&existing, "scale", &scale_value);
-    std::fs::write("BENCH_SIMPERF.json", merged).expect("write BENCH_SIMPERF.json");
+    write_sections("BENCH_SIMPERF.json", &[("scale", &scale_value)]);
     println!("merged scale section into BENCH_SIMPERF.json");
 }
 
-// The JSON section-merge helpers (`match_brace`/`extract_key`/`splice_key`)
-// live in the bench lib now, shared with `servebench`.
-use smappic_bench::{extract_key, splice_key};
+// The JSON section-merge helper lives in the bench lib, shared with
+// `servebench` and `checkpoint`.
+use smappic_bench::write_sections;
 
 fn main() {
     if let Some(label) = arg_str("--scale-child") {
@@ -732,29 +729,18 @@ fn main() {
     }
 
     let entries: Vec<String> = runs.iter().map(json_entry).collect();
-    let mut json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"simperf\",\n",
-            "  \"host_threads\": {},\n",
-            "  \"speedup_asserted\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        host_threads,
-        speedup_asserted,
-        entries.join(",\n")
+    let runs_value = format!("[\n{}\n  ]", entries.join(",\n"));
+    // Only the perf sections are rewritten; `--scale`, `servebench`, and
+    // `checkpoint scale64` sections survive.
+    write_sections(
+        "BENCH_SIMPERF.json",
+        &[
+            ("bench", "\"simperf\""),
+            ("host_threads", &host_threads.to_string()),
+            ("speedup_asserted", &speedup_asserted.to_string()),
+            ("runs", &runs_value),
+        ],
     );
-    // Previous `--scale`, `servebench`, and `checkpoint scale64`
-    // sections survive the perf rewrite.
-    if let Ok(existing) = std::fs::read_to_string("BENCH_SIMPERF.json") {
-        for key in ["scale", "service", "snapshot"] {
-            if let Some(section) = extract_key(&existing, key) {
-                json = splice_key(&json, key, &section);
-            }
-        }
-    }
-    std::fs::write("BENCH_SIMPERF.json", &json).expect("write BENCH_SIMPERF.json");
     println!("wrote BENCH_SIMPERF.json");
 
     // The observability layer's text exporter, on the first run's metrics

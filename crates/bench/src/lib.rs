@@ -350,36 +350,62 @@ pub fn match_brace(text: &str, open: usize) -> usize {
     panic!("unbalanced JSON");
 }
 
-/// The raw value text of top-level `key` in `text`, if present.
-pub fn extract_key(text: &str, key: &str) -> Option<String> {
-    let k = text.find(&format!("\"{key}\":"))?;
-    let open = k + text[k..].find(['{', '['])?;
-    Some(text[open..=match_brace(text, open)].to_string())
+/// The top-level `(key, raw value)` entries of a hand-rolled JSON object,
+/// in document order. Values are kept verbatim: nested objects and
+/// arrays, strings, and bare scalars alike.
+fn top_level_entries(text: &str) -> Vec<(String, String)> {
+    let mut entries = Vec::new();
+    let Some(open) = text.find('{') else { return entries };
+    let mut rest = &text[open + 1..];
+    while let Some(q) = rest.find(['"', '}']) {
+        if rest[q..].starts_with('}') {
+            break;
+        }
+        let key_end = q + 1 + rest[q + 1..].find('"').expect("closed key");
+        let key = rest[q + 1..key_end].to_string();
+        let colon = key_end + rest[key_end..].find(':').expect("key/value colon");
+        let value = &rest[colon + 1..];
+        let start = colon + 1 + (value.len() - value.trim_start().len());
+        let end = match rest.as_bytes()[start] {
+            b'{' | b'[' => match_brace(rest, start) + 1,
+            b'"' => start + 2 + rest[start + 1..].find('"').expect("closed string"),
+            _ => start + rest[start..].find([',', '}', '\n']).unwrap_or(rest.len() - start),
+        };
+        entries.push((key, rest[start..end].trim_end().to_string()));
+        rest = &rest[end..];
+    }
+    entries
 }
 
-/// Returns `text` with top-level `key` replaced by (or appended as)
-/// `value`, keeping every other key intact — how `simperf` (perf + scale
-/// sections) and `servebench` (service section) share one
-/// `BENCH_SIMPERF.json` without a JSON library.
-pub fn splice_key(text: &str, key: &str, value: &str) -> String {
-    let mut base = text.trim_end().to_string();
-    if let Some(k) = base.find(&format!("\"{key}\":")) {
-        let open = k + base[k..].find(['{', '[']).expect("value");
-        let end = match_brace(&base, open);
-        // Consume the comma separating the old entry from its neighbor —
-        // the preceding one, or (for a first entry) any trailing one.
-        let start = match base[..k].rfind(',') {
-            Some(c) => c,
-            None => base[..k].rfind('{').expect("object") + 1,
-        };
-        base.replace_range(start..=end, "");
-        while base[start..].starts_with(',') {
-            base.remove(start);
+/// The raw value text of top-level `key` in `text`, if present.
+pub fn extract_key(text: &str, key: &str) -> Option<String> {
+    top_level_entries(text).into_iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Returns `existing` with each `(key, value)` of `sections` set as a
+/// top-level entry — replaced in place, or appended when absent — and
+/// every other top-level section kept as it was.
+pub fn merge_sections(existing: &str, sections: &[(&str, &str)]) -> String {
+    let mut entries = top_level_entries(existing);
+    for &(key, value) in sections {
+        match entries.iter_mut().find(|(k, _)| k == key) {
+            Some(entry) => entry.1 = value.to_string(),
+            None => entries.push((key.to_string(), value.to_string())),
         }
     }
-    let close = base.rfind('}').expect("top-level object");
-    base.replace_range(close.., &format!(",\n  \"{key}\": {value}\n}}\n"));
-    base
+    let body: Vec<String> = entries.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
+    format!("{{\n{}\n}}\n", body.join(",\n"))
+}
+
+/// Rewrites the caller's top-level `sections` of the bench document at
+/// `path` (created when missing) and keeps every other section — how
+/// `simperf`, `servebench`, and `checkpoint` share `BENCH_SIMPERF.json`
+/// without a JSON library, and without one bench dropping another's
+/// results.
+pub fn write_sections(path: &str, sections: &[(&str, &str)]) {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    std::fs::write(path, merge_sections(&existing, sections))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 /// Renders the Fig 14 series.
@@ -413,8 +439,38 @@ mod tests {
         assert!((jobs_per_hour(2, 1.0) - 7200.0).abs() < 1e-9);
         // And the spliced document stays parseable by its own tools.
         let json = "{\n  \"x\": 1\n}\n";
-        let merged = splice_key(json, "jph", &format!("{{\"v\": {:.1}}}", jobs_per_hour(8, 0.0)));
+        let jph = format!("{{\"v\": {:.1}}}", jobs_per_hour(8, 0.0));
+        let merged = merge_sections(json, &[("jph", &jph)]);
         assert!(extract_key(&merged, "jph").is_some());
         assert!(extract_key(&merged, "x").is_some());
+    }
+
+    #[test]
+    fn a_runs_rewrite_keeps_every_other_section() {
+        // The `simperf` regression: its perf rewrite re-spliced a fixed
+        // key list and silently dropped the `fleet` section.
+        let existing = concat!(
+            "{\n  \"bench\": \"simperf\",\n  \"host_threads\": 1,\n",
+            "  \"runs\": [\n    {\"label\": \"old\"}\n  ],\n",
+            "  \"scale\": {\"configs\": [1, 2]},\n  \"snapshot\": {\"raw\": 3},\n",
+            "  \"service\": {\"runs\": 4},\n  \"fleet\": {\"jobs\": [5]}\n}\n"
+        );
+        let merged = merge_sections(
+            existing,
+            &[("host_threads", "2"), ("runs", "[\n    {\"label\": \"new\"}\n  ]")],
+        );
+        for key in ["scale", "snapshot", "service", "fleet"] {
+            assert_eq!(extract_key(&merged, key), extract_key(existing, key), "{key} kept");
+        }
+        assert_eq!(extract_key(&merged, "bench").as_deref(), Some("\"simperf\""));
+        assert_eq!(extract_key(&merged, "host_threads").as_deref(), Some("2"));
+        assert!(extract_key(&merged, "runs").unwrap().contains("new"));
+        // A nested `runs` key inside `service` is not a top-level section.
+        assert_eq!(extract_key(&merged, "service").as_deref(), Some("{\"runs\": 4}"));
+        // Order is kept and the result merges idempotently.
+        let keys: Vec<String> = top_level_entries(&merged).into_iter().map(|(k, _)| k).collect();
+        let order = ["bench", "host_threads", "runs", "scale", "snapshot", "service", "fleet"];
+        assert_eq!(keys, order);
+        assert_eq!(merge_sections(&merged, &[]), merged);
     }
 }

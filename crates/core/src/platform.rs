@@ -2,42 +2,41 @@
 //!
 //! # Execution model
 //!
-//! The platform offers two equivalent steppers:
+//! Inter-FPGA links have latency, and that latency is the platform's
+//! *lookahead*: anything an FPGA sends at cycle `t` cannot reach a peer
+//! before `t + L`. The platform advances in one of two equivalent ways:
 //!
-//! - **Serial** ([`Platform::step`]/[`Platform::run`]): every cycle ticks
-//!   all FPGAs in index order, then pumps the PCIe fabric. With the host
-//!   fast path on (the default), [`Platform::run`] dispatches multi-FPGA
-//!   prototypes to a *serial epoch driver* that follows the exact epoch
-//!   schedule of the parallel stepper but advances the FPGAs one after
-//!   another on the calling thread — within an epoch no FPGA can observe
-//!   a peer, so each may warp its own quiet stretches independently
-//!   instead of being pinned by the busiest FPGA in a cycle-interleaved
-//!   loop. [`Platform::set_fast_path`]`(false)` restores the plain
-//!   cycle-by-cycle reference loop, bit-identically.
-//! - **Epoch-parallel** ([`Platform::run_parallel`]/[`Platform::step_epoch`]):
-//!   a conservative parallel-discrete-event scheme that exploits the PCIe
-//!   one-way latency `L` as *lookahead*. Anything an FPGA sends at cycle
-//!   `t` cannot reach a peer before `t + L`, so all FPGAs can be advanced
-//!   `L` cycles completely independently on worker threads; cross-FPGA
-//!   items are buffered with their send timestamps and exchanged at the
-//!   epoch barrier in a fixed `(from, to)` order. The result is
-//!   bit-identical to the serial stepper — same cycle count, same stats,
-//!   same console output.
+//! - **Per-cycle reference** ([`Platform::step`], and [`Platform::run`]
+//!   after [`Platform::set_fast_path`]`(false)`): every cycle ticks all
+//!   FPGAs in index order, then pumps the fabric. This is the oracle.
+//! - **The epoch driver** ([`Platform::run`] with the fast path on,
+//!   [`Platform::run_parallel`], [`Platform::step_epoch`],
+//!   [`Platform::run_until_idle_parallel`] on a PCIe star): the FPGAs are
+//!   partitioned into *units* that cannot observe each other for one
+//!   epoch. Each unit advances through the epoch on its own, every FPGA
+//!   warping its own quiet stretches; traffic that crosses units waits
+//!   for the epoch barrier, which hands it over in a fixed order. `run`
+//!   advances the units one after another on the calling thread; the
+//!   other entry points give every unit its own scoped thread (a *lane*)
+//!   for the whole call. Either way the result is bit-identical to the
+//!   reference — same cycle count, stats, console output, and snapshot
+//!   bytes, the `host.stepper` epoch schedule included.
 //!
-//! # Topologies and grouped barriers
+//! # Topologies and units
 //!
 //! [`Topology::PcieStar`] joins every FPGA pair with a PCIe link — the
 //! paper's single-instance shape, capped by how many endpoints one host
-//! bridge fans out to. [`Topology::Ethernet`] attaches every FPGA to a
-//! switched-Ethernet fabric instead, and [`Topology::Hybrid`] mixes the
-//! two: PCIe inside each instance-sized group, Ethernet across groups.
-//! Network-attached platforms replace the flat epoch barrier with a
-//! *grouped* one ([`Platform::grouped_lookaheads`]): members of a switch
-//! group rendezvous every NIC-link latency, while groups synchronize with
-//! each other only at spine-latency boundaries — global coordination cost
-//! scales with the number of groups, not the number of FPGAs. Both the
-//! serial and the parallel grouped drivers are bit-identical to the
-//! per-cycle reference, exactly as for the PCIe-star steppers.
+//! bridge fans out to. There a unit is one FPGA and an epoch is the PCIe
+//! latency ([`Platform::lookahead`]). [`Topology::Ethernet`] attaches
+//! every FPGA to a switched-Ethernet fabric instead, and
+//! [`Topology::Hybrid`] mixes the two: PCIe inside each instance-sized
+//! group, Ethernet across groups. There a unit is one switch group — its
+//! members, their internal PCIe links, and their switch — and an epoch is
+//! the spine latency ([`Platform::grouped_lookaheads`]). Inside a group,
+//! members rendezvous at their own links and switch every local window
+//! (the NIC-link latency, or the intra-group PCIe latency if smaller);
+//! groups meet only at the spine exchange, so global coordination cost
+//! scales with the number of groups, not the number of FPGAs.
 //!
 //! Idle stretches are warped over: when every FPGA is quiescent, the
 //! platform jumps straight to the next scheduled event (PCIe delivery,
@@ -58,7 +57,9 @@ use smappic_sim::{
 };
 use smappic_tile::{AddrMap, Engine};
 
-use crate::config::{Config, Topology, CLINT_BASE, PLIC_BASE, SD_CTL_BASE, UART0_BASE, UART1_BASE};
+#[cfg(doc)]
+use crate::config::Topology;
+use crate::config::{Config, CLINT_BASE, PLIC_BASE, SD_CTL_BASE, UART0_BASE, UART1_BASE};
 use crate::fpga::Fpga;
 use crate::node::Node;
 use crate::uart::HostSerial;
@@ -141,37 +142,57 @@ pub struct Platform {
     fast_path: bool,
 }
 
-/// One epoch's worth of work handed to an FPGA worker thread.
-struct EpochJob {
-    /// First cycle of the epoch.
-    start: Cycle,
-    /// Epoch length in cycles (at most the PCIe lookahead).
-    len: u64,
-    /// Pre-extracted PCIe deliveries as `(arrival, sending fpga, flight)`,
-    /// sorted by `(arrival, from)` — the per-receiver order the serial
-    /// pump produces. One flat list instead of a `Vec` per peer: at rack
-    /// scale a per-peer layout cost `nf` allocations per job and an
-    /// `O(nf)` scan per quiet-warp probe.
-    inbound: Vec<(Cycle, usize, Flight)>,
-    /// Pre-extracted Ethernet deliveries as `(release, src, seq, item)`,
-    /// oldest first (the fabric's `(release, src, seq, copy)` order).
-    /// Delivered after any same-cycle PCIe flights, matching the serial
-    /// pump.
-    eth_inbound: Vec<(Cycle, u32, u64, PcieItem)>,
+/// One unit of the epoch partition, owned by one lane for a whole driver
+/// call: a single FPGA on a PCIe star, or one switch group — its member
+/// FPGAs and the PCIe links between them — on Ethernet and Hybrid. Within
+/// an epoch no unit can observe another, so units advance independently;
+/// everything that crosses units goes through the barrier in its [`Mail`].
+struct Unit<'p> {
+    /// Global index of the first member FPGA.
+    first: usize,
+    fpgas: &'p mut [Fpga],
+    /// The PCIe links joining two members (Hybrid groups). Empty on a
+    /// star, where every link crosses units, and on pure Ethernet.
+    links: &'p mut [((usize, usize), PcieLink)],
+    /// Index of `links[0]` in the platform's link list.
+    link_base: usize,
+    /// The platform's `(from, to) → link` table, row length `nf`.
+    link_idx: &'p [usize],
+    nf: usize,
+    /// How far members advance between rendezvous at the unit's own links
+    /// and switch; the epoch width itself on a star.
+    local: u64,
     /// Record idle/activity bookkeeping (for `run_until_idle_parallel`).
     track: bool,
+    /// Per member: idle after the last cycle it advanced through.
+    idle: Vec<bool>,
+    /// One member's sends during one window, `(cycle, to, item)`.
+    outbound: Vec<(Cycle, usize, PcieItem)>,
 }
 
-/// What an FPGA worker hands back at the epoch barrier.
-struct EpochOut {
-    worker: usize,
-    /// Cross-FPGA sends buffered during the epoch: `(cycle, to, item)` in
-    /// send order. Replayed into the links at the barrier.
-    sends: Vec<(Cycle, usize, PcieItem)>,
-    /// Last cycle at which this FPGA did observable work (tracked jobs).
+/// What crosses the epoch barrier for one unit: the barrier fills the
+/// epoch window, the inbound flights, and the switch; the unit advances
+/// and fills the outputs. One per unit for a whole driver call, so the
+/// buffers are recycled from epoch to epoch.
+struct Mail {
+    /// First cycle of the epoch.
+    start: Cycle,
+    /// Epoch width in cycles.
+    len: u64,
+    /// PCIe flights arriving inside the epoch as `(arrival, from,
+    /// flight)`: filled by the barrier from cross-unit links (a star), and
+    /// by the unit from its own links window by window.
+    inbound: Vec<(Cycle, usize, Flight)>,
+    /// The unit's switch, lent by the fabric for the epoch (Ethernet and
+    /// Hybrid). Between epochs it holds a placeholder.
+    sw: Option<EthSwitch<PcieItem>>,
+    /// Cross-unit sends `(cycle, from, to, item)` in send order, for the
+    /// barrier to replay.
+    sends: Vec<(Cycle, usize, usize, PcieItem)>,
+    /// Last cycle at which a member did observable work (tracked runs).
     last_active: Option<Cycle>,
-    /// FPGA was idle after the epoch's final cycle (tracked jobs).
-    idle_at_end: bool,
+    /// Every member idle at the end of the epoch (tracked runs).
+    idle: bool,
 }
 
 /// Drains the shell's outbound side exactly like the serial pump: all
@@ -229,18 +250,15 @@ fn deliver_flight(fpga: &mut Fpga, now: Cycle, from: usize, flight: Flight) {
     }
 }
 
-/// O(1) link send using the precomputed `(from, to) → link` table.
+/// O(1) link send: `li` indexes `links`, as looked up in the platform's
+/// precomputed `(from, to) → link` table.
 fn link_send_indexed(
     links: &mut [((usize, usize), PcieLink)],
-    link_idx: &[usize],
-    nf: usize,
+    li: usize,
     now: Cycle,
     from: usize,
-    to: usize,
     item: PcieItem,
 ) {
-    let li = link_idx[from * nf + to];
-    debug_assert!(li != usize::MAX, "links form a full mesh over the FPGAs");
     let ((a, _), link) = &mut links[li];
     if from == *a {
         link.send_from_a(now, item);
@@ -249,190 +267,132 @@ fn link_send_indexed(
     }
 }
 
-/// The body an FPGA worker thread runs for the lifetime of one parallel
-/// region: pull an epoch job, advance the FPGA through it cycle by cycle
-/// (tick, drain outbound into the send buffer, replay scheduled inbound
-/// deliveries at their exact cycles), report at the barrier, repeat until
-/// the job channel closes.
-fn epoch_worker(
-    w: usize,
-    fpga: &mut Fpga,
-    jobs: mpsc::Receiver<EpochJob>,
-    out: mpsc::Sender<EpochOut>,
-) {
-    let mut idle_now = fpga.is_idle();
-    while let Ok(job) = jobs.recv() {
-        let o = fpga_epoch(w, fpga, job, &mut idle_now);
-        if out.send(o).is_err() {
-            break;
+impl Unit<'_> {
+    /// The epoch body: advances the unit through the epoch in `mail` in
+    /// local windows, each advancing every member in index order and then
+    /// forwarding the switch to the window's end. On a star the one window
+    /// is the whole epoch. Within a window no member can observe a peer
+    /// (the PCIe and NIC-link latencies both bound it), and units only
+    /// interact through the barrier, whose spacing the cross-unit latency
+    /// bounds — so this schedule is bit-identical to the per-cycle
+    /// reference, whichever thread runs it.
+    fn epoch(&mut self, mail: &mut Mail) {
+        let end = mail.start + mail.len;
+        mail.last_active = None;
+        let mut t = mail.start;
+        while t < end {
+            let horizon = end.min(t + self.local);
+            for lm in 0..self.fpgas.len() {
+                self.advance_member(lm, t, horizon, mail);
+            }
+            if let Some(sw) = &mut mail.sw {
+                sw.process(horizon);
+            }
+            t = horizon;
         }
+        mail.idle = self.idle.iter().all(|&idle| idle);
     }
-}
 
-/// One FPGA's epoch: advance through `job` cycle by cycle (or in quiet
-/// warps), delivering the pre-extracted inbound flights at their exact
-/// cycles and buffering outbound sends for the barrier to replay. Shared
-/// by the parallel workers and the serial epoch driver — same code, same
-/// results.
-fn fpga_epoch(w: usize, fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
-    // Oldest-first lists, consumed from the front: flip them once so
-    // each delivery is an O(1) pop from the back.
-    let mut inbound = job.inbound;
-    inbound.reverse();
-    let mut eth_inbound = job.eth_inbound;
-    eth_inbound.reverse();
-    let mut sends: Vec<(Cycle, usize, PcieItem)> = Vec::new();
-    let mut last_active = None;
-    let end = job.start + job.len;
-    let mut t = job.start;
-    while t < end {
-        // Quiet warp, per FPGA: within an epoch no external input can
-        // arrive except the pre-extracted deliveries below, so when
-        // the FPGA is provably quiet the skip ticks up to the earliest
-        // of (component wake, next delivery, epoch end) batch into one
-        // warp — bit-identical to ticking through them.
-        if let Some(bound) = fpga.quiet_bound(t) {
-            let mut stop = bound.min(end);
-            if let Some(&(ready, _, _)) = inbound.last() {
-                stop = stop.min(ready);
-            }
-            if let Some(&(ready, _, _, _)) = eth_inbound.last() {
-                stop = stop.min(ready);
-            }
-            if stop > t {
-                fpga.warp_quiet(t, stop - t);
-                if job.track && !*idle_now {
-                    // A quiet-but-not-idle FPGA counts every cycle as
-                    // active, exactly as the per-cycle loop would.
-                    last_active = Some(stop - 1);
-                }
-                t = stop;
-                continue;
-            }
-        }
-        fpga.tick(t);
-        let sent_before = sends.len();
-        drain_shell_outbound(fpga, |to, item| sends.push((t, to, item)));
-        let mut delivered = false;
-        // `(arrival, from)` sort order reproduces the serial pump's
-        // ascending-peer order at each cycle; Ethernet releases follow
-        // same-cycle PCIe flights, as in the serial fabric pump.
-        while inbound.last().is_some_and(|&(ready, _, _)| ready <= t) {
-            let (_, from, flight) = inbound.pop().expect("last checked");
-            deliver_flight(fpga, t, from, flight);
-            delivered = true;
-        }
-        while eth_inbound.last().is_some_and(|&(ready, _, _, _)| ready <= t) {
-            let (_, src, seq, item) = eth_inbound.pop().expect("last checked");
-            deliver_flight(fpga, t, src as usize, Flight { seq, item });
-            delivered = true;
-        }
-        if job.track {
-            // A cycle is active if the FPGA had work before or after
-            // the tick, or traffic moved. Quiescence is the cycle
-            // after the last active one.
-            let idle_after = fpga.is_idle();
-            if !*idle_now || !idle_after || delivered || sends.len() > sent_before {
-                last_active = Some(t);
-            }
-            *idle_now = idle_after;
-        }
-        t += 1;
-    }
-    EpochOut { worker: w, sends, last_active, idle_at_end: *idle_now }
-}
-
-/// Sends `item` over the intra-group link joining `from` and `to`, found by
-/// scanning `links` (a group's links number at most `C(4,2) = 6`, so a
-/// linear scan beats carrying the global index table onto worker threads).
-fn link_send_local(
-    links: &mut [((usize, usize), PcieLink)],
-    now: Cycle,
-    from: usize,
-    to: usize,
-    item: PcieItem,
-) {
-    let key = (from.min(to), from.max(to));
-    for ((a, b), link) in links.iter_mut() {
-        if (*a, *b) == key {
-            if from == *a {
-                link.send_from_a(now, item);
+    /// Advances member `lm` through the window `[start, end)` cycle by
+    /// cycle (or in quiet warps), delivering its inbound PCIe flights and
+    /// Ethernet frames at their exact cycles, then routes what it sent:
+    /// intra-unit pairs onto their PCIe link, other Ethernet peers into the
+    /// switch, everything else to the barrier.
+    fn advance_member(&mut self, lm: usize, start: Cycle, end: Cycle, mail: &mut Mail) {
+        let m = self.first + lm;
+        // Pull the member's flights off the unit's own links. A send
+        // routed below matures at or after `end` (link latency >= window),
+        // so extracting member by member changes nothing.
+        for ((a, b), link) in self.links.iter_mut() {
+            let (flights, from) = if *a == m {
+                (link.take_flights_to_a_before(end), *b)
+            } else if *b == m {
+                (link.take_flights_to_b_before(end), *a)
             } else {
-                link.send_from_b(now, item);
-            }
-            return;
-        }
-    }
-    panic!("no intra-group PCIe link for {from} -> {to}");
-}
-
-/// Advances one switch group over the global epoch `[tg, tg + glen)`: local
-/// windows of at most `local` cycles, each pre-extracting per-member PCIe
-/// and Ethernet deliveries, advancing every member via [`fpga_epoch`],
-/// replaying its sends (intra-group pairs onto their PCIe link, everything
-/// else into the switch), and forwarding the switch at the window boundary.
-///
-/// `fpgas[i]` is global member `first + i`; `links` holds (at least) the
-/// group's internal PCIe links — members of other groups never match the
-/// scan, so the serial driver passes the full platform list while the
-/// parallel driver passes a per-group partition. Shared by both drivers:
-/// same code, same results. Within a local window no member can observe a
-/// peer (the PCIe and NIC-link latencies both bound it), and groups only
-/// interact through the spine, whose latency bounds the global epoch — so
-/// this schedule is bit-identical to the per-cycle reference.
-#[allow(clippy::too_many_arguments)]
-fn group_epoch(
-    first: usize,
-    fpgas: &mut [Fpga],
-    links: &mut [((usize, usize), PcieLink)],
-    sw: &mut EthSwitch<PcieItem>,
-    topology: &Topology,
-    idle_flags: &mut [bool],
-    tg: Cycle,
-    glen: u64,
-    local: u64,
-) {
-    let mut t = tg;
-    while t < tg + glen {
-        let step = local.min(tg + glen - t);
-        let horizon = t + step;
-        for lm in 0..fpgas.len() {
-            let m = first + lm;
-            // Pre-extract this member's PCIe flights from its group links.
-            // A send replayed below matures at or after `horizon` (link
-            // latency >= step), so interleaving extraction with member
-            // advancement changes nothing.
-            let mut inbound: Vec<(Cycle, usize, Flight)> = Vec::new();
-            for ((a, b), link) in links.iter_mut() {
-                if *a == m {
-                    for (c, fl) in link.take_flights_to_a_before(horizon) {
-                        inbound.push((c, *b, fl));
-                    }
-                } else if *b == m {
-                    for (c, fl) in link.take_flights_to_b_before(horizon) {
-                        inbound.push((c, *a, fl));
-                    }
-                }
-            }
-            inbound.sort_by_key(|&(c, f, _)| (c, f));
-            let job = EpochJob {
-                start: t,
-                len: step,
-                inbound,
-                eth_inbound: sw.take_delivered(m, horizon),
-                track: false,
+                continue;
             };
-            let out = fpga_epoch(m, &mut fpgas[lm], job, &mut idle_flags[lm]);
-            for (u, to, item) in out.sends {
-                if topology.pcie_linked(m, to) {
-                    link_send_local(links, u, m, to, item);
-                } else {
-                    sw.send(u, m, to, item.wire_bytes(), item);
+            mail.inbound.extend(flights.into_iter().map(|(c, fl)| (c, from, fl)));
+        }
+        // Stable: same-(cycle, from) flights keep their send order, and
+        // `(arrival, from)` reproduces the per-cycle pump's ascending-peer
+        // order at each cycle.
+        mail.inbound.sort_by_key(|&(c, f, _)| (c, f));
+        // Ethernet frames as `(release, src, seq, item)`, oldest first;
+        // delivered after any same-cycle PCIe flights, as in the pump.
+        let mut eth_inbound =
+            mail.sw.as_mut().map_or_else(Vec::new, |sw| sw.take_delivered(m, end));
+        // Both lists are consumed from the front: flip them once so each
+        // delivery is an O(1) pop from the back.
+        let inbound = &mut mail.inbound;
+        inbound.reverse();
+        eth_inbound.reverse();
+        let fpga = &mut self.fpgas[lm];
+        let idle_now = &mut self.idle[lm];
+        let sends = &mut self.outbound;
+        let track = self.track;
+        let mut t = start;
+        while t < end {
+            // Quiet warp, per FPGA: within a window no external input can
+            // arrive except the deliveries above, so when the FPGA is
+            // provably quiet the skip ticks up to the earliest of
+            // (component wake, next delivery, window end) batch into one
+            // warp — bit-identical to ticking through them.
+            if let Some(bound) = fpga.quiet_bound(t) {
+                let mut stop = bound.min(end);
+                if let Some(&(ready, _, _)) = inbound.last() {
+                    stop = stop.min(ready);
+                }
+                if let Some(&(ready, _, _, _)) = eth_inbound.last() {
+                    stop = stop.min(ready);
+                }
+                if stop > t {
+                    fpga.warp_quiet(t, stop - t);
+                    if track && !*idle_now {
+                        // A quiet-but-not-idle FPGA counts every cycle as
+                        // active, exactly as the per-cycle loop would.
+                        mail.last_active = mail.last_active.max(Some(stop - 1));
+                    }
+                    t = stop;
+                    continue;
                 }
             }
+            fpga.tick(t);
+            let sent_before = sends.len();
+            drain_shell_outbound(fpga, |to, item| sends.push((t, to, item)));
+            let mut delivered = false;
+            while let Some((_, from, flight)) = inbound.pop_if(|&mut (ready, _, _)| ready <= t) {
+                deliver_flight(fpga, t, from, flight);
+                delivered = true;
+            }
+            while let Some((_, src, seq, item)) = eth_inbound.pop_if(|&mut (ready, ..)| ready <= t)
+            {
+                deliver_flight(fpga, t, src as usize, Flight { seq, item });
+                delivered = true;
+            }
+            if track {
+                // A cycle is active if the FPGA had work before or after
+                // the tick, or traffic moved. Quiescence is the cycle
+                // after the last active one.
+                let idle_after = fpga.is_idle();
+                if !*idle_now || !idle_after || delivered || sends.len() > sent_before {
+                    mail.last_active = mail.last_active.max(Some(t));
+                }
+                *idle_now = idle_after;
+            }
+            t += 1;
         }
-        sw.process(horizon);
-        t += step;
+        debug_assert!(inbound.is_empty(), "every flight matures inside its window");
+        for (u, to, item) in self.outbound.drain(..) {
+            // Wraps past `links.len()` for links outside this unit.
+            let li = self.link_idx[m * self.nf + to].wrapping_sub(self.link_base);
+            if li < self.links.len() {
+                link_send_indexed(self.links, li, u, m, item);
+            } else if let Some(sw) = &mut mail.sw {
+                sw.send(u, m, to, item.wire_bytes(), item);
+            } else {
+                mail.sends.push((u, m, to, item));
+            }
+        }
     }
 }
 
@@ -690,29 +650,19 @@ impl Platform {
 
     /// Runs for `cycles` cycles.
     ///
-    /// Globally quiet stretches are warped: while every FPGA reports a
-    /// [`Fpga::quiet_bound`] (all components provably on their skip paths)
-    /// and no PCIe delivery matures, the per-cycle skip ticks are batched
-    /// into one [`Fpga::warp_quiet`] — bit-identical to stepping, just
-    /// without touching every component every cycle. Reference mode
-    /// (fast path off) never warps.
+    /// With the fast path on, multi-FPGA prototypes with a lookahead go
+    /// through the epoch driver on this thread: inside an epoch each FPGA
+    /// warps its own quiet stretches, where a cycle-interleaved loop could
+    /// only warp when *every* FPGA is quiet at once. Otherwise globally
+    /// quiet stretches are warped: while every FPGA reports a
+    /// [`Fpga::quiet_bound`] and no fabric delivery matures, the per-cycle
+    /// skip ticks are batched into one [`Fpga::warp_quiet`] —
+    /// bit-identical to stepping. Reference mode (fast path off) never
+    /// warps.
     pub fn run(&mut self, cycles: u64) {
-        // Multi-FPGA fast path: drive the same epoch schedule the parallel
-        // stepper uses (bit-identical by construction), on this thread.
-        // Inside an epoch each FPGA warps its own quiet stretches
-        // independently — the cycle-interleaved loop below can only warp
-        // when *every* FPGA is quiet at once, so one busy FPGA pins all of
-        // its peers to per-cycle stepping.
-        if self.fast_path && cycles > 0 {
-            if self.eth.is_some() {
-                if self.grouped_lookaheads().0 > 0 {
-                    self.run_groups_serial(cycles);
-                    return;
-                }
-            } else if self.lookahead() > 0 {
-                self.run_epochs_serial(cycles);
-                return;
-            }
+        if self.fast_path && cycles > 0 && self.epoch_plan().is_some() {
+            self.drive_epochs(cycles, false, false);
+            return;
         }
         let mut spent = 0u64;
         while spent < cycles {
@@ -730,66 +680,6 @@ impl Platform {
         }
     }
 
-    /// The serial epoch driver: identical epoch schedule, pre-extraction,
-    /// and barrier replay order to [`Platform::run_epochs`], with the
-    /// FPGAs advanced one after another on this thread instead of on
-    /// workers. Within an epoch no FPGA can observe a peer (that is what
-    /// the lookahead guarantees), so sequential execution order is
-    /// immaterial and the result is bit-identical to both the threaded
-    /// epoch stepper and the cycle-interleaved serial stepper.
-    fn run_epochs_serial(&mut self, max_cycles: u64) {
-        let nf = self.fpgas.len();
-        let lookahead =
-            self.links.iter().map(|(_, l)| l.one_way_latency()).min().expect("links exist");
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let len = lookahead.min(max_cycles - spent);
-            let epoch_start = start_now + spent;
-            let horizon = epoch_start + len;
-            self.host_epochs.record(len);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace
-                .record(epoch_start, || TraceEventKind::Epoch { index: idx, width: len });
-            let mut schedules: Vec<Vec<(Cycle, usize, Flight)>> =
-                (0..nf).map(|_| Vec::new()).collect();
-            for ((a, b), link) in self.links.iter_mut() {
-                for (c, fl) in link.take_flights_to_b_before(horizon) {
-                    schedules[*b].push((c, *a, fl));
-                }
-                for (c, fl) in link.take_flights_to_a_before(horizon) {
-                    schedules[*a].push((c, *b, fl));
-                }
-            }
-            for q in &mut schedules {
-                // Stable: same-(cycle, from) flights keep their send order.
-                q.sort_by_key(|&(c, f, _)| (c, f));
-            }
-            let mut outs = Vec::with_capacity(nf);
-            for (w, fpga) in self.fpgas.iter_mut().enumerate() {
-                let job = EpochJob {
-                    start: epoch_start,
-                    len,
-                    inbound: std::mem::take(&mut schedules[w]),
-                    eth_inbound: Vec::new(),
-                    track: false,
-                };
-                outs.push(fpga_epoch(w, fpga, job, &mut idle_flags[w]));
-            }
-            // Barrier: replay sends in the same fixed (from, to) order the
-            // threaded stepper uses.
-            for o in &mut outs {
-                for (t, to, item) in o.sends.drain(..) {
-                    link_send_indexed(&mut self.links, &self.link_idx, nf, t, o.worker, to, item);
-                }
-            }
-            spent += len;
-        }
-        self.now = start_now + spent;
-    }
-
     /// The grouped lookaheads of a network-attached platform as
     /// `(local, global)`: how far a switch group may advance between local
     /// rendezvous (bounded by the NIC-to-switch link latency and by any
@@ -805,113 +695,17 @@ impl Platform {
         (local, eth.global_lookahead())
     }
 
-    /// The serial grouped-epoch driver for network-attached topologies:
-    /// per global epoch (bounded by the spine latency), exchange the
-    /// spine, then advance each switch group through its local windows
-    /// with [`group_epoch`], one group after another on this thread.
-    /// Groups interact only through the spine, and the exchange horizon
-    /// covers the whole epoch, so group order is immaterial and the
-    /// result is bit-identical to the per-cycle reference and to
-    /// [`Platform::run_groups_parallel`].
-    fn run_groups_serial(&mut self, max_cycles: u64) {
-        let (local, global) = self.grouped_lookaheads();
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let glen = global.min(max_cycles - spent);
-            let tg = start_now + spent;
-            self.host_epochs.record(glen);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace.record(tg, || TraceEventKind::Epoch { index: idx, width: glen });
-            let eth = self.eth.as_mut().expect("grouped driver needs an Ethernet fabric");
-            // Complete even for a truncated epoch: a frame arriving before
-            // `tg + glen` left its source group an uplink latency earlier,
-            // i.e. before `tg` — already forwarded by the previous epoch.
-            eth.exchange(tg + glen);
-            for g in 0..eth.groups() {
-                let range = eth.group_members(g);
-                group_epoch(
-                    range.start,
-                    &mut self.fpgas[range.clone()],
-                    &mut self.links,
-                    eth.switch_mut(g),
-                    &self.cfg.topology,
-                    &mut idle_flags[range],
-                    tg,
-                    glen,
-                    local,
-                );
-            }
-            spent += glen;
+    /// The epoch driver's plan as `(epoch width, local window)`: the PCIe
+    /// lookahead for both on a star, the grouped lookaheads on Ethernet
+    /// and Hybrid. [`None`] when there is no lookahead to exploit.
+    fn epoch_plan(&self) -> Option<(u64, u64)> {
+        if self.eth.is_some() {
+            let (local, global) = self.grouped_lookaheads();
+            (local > 0).then_some((global, local))
+        } else {
+            let l = self.lookahead();
+            (l > 0).then_some((l, l))
         }
-        self.now = start_now + spent;
-    }
-
-    /// The parallel grouped-epoch driver: one worker thread per switch
-    /// group. For each global epoch the platform state is partitioned —
-    /// every group's thread exclusively owns its FPGAs, its internal PCIe
-    /// links, and its switch — and the spine exchange at the epoch
-    /// boundary is the only cross-group synchronization, mirroring how a
-    /// rack deployment gives each chassis its own host process. Bit-
-    /// identical to [`Platform::run_groups_serial`] (same schedule, same
-    /// per-group code) and therefore to the per-cycle reference.
-    fn run_groups_parallel(&mut self, max_cycles: u64) {
-        let (local, global) = self.grouped_lookaheads();
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let glen = global.min(max_cycles - spent);
-            let tg = start_now + spent;
-            self.host_epochs.record(glen);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace.record(tg, || TraceEventKind::Epoch { index: idx, width: glen });
-            let eth = self.eth.as_mut().expect("grouped driver needs an Ethernet fabric");
-            eth.exchange(tg + glen);
-            let ranges: Vec<_> = (0..eth.groups()).map(|g| eth.group_members(g)).collect();
-            // Partition ownership: links by the group of their (lower)
-            // endpoint — both endpoints share a group, links only join
-            // `pcie_linked` pairs — and one switch per worker.
-            let all_links = std::mem::take(&mut self.links);
-            let mut group_links: Vec<Vec<((usize, usize), PcieLink)>> =
-                (0..ranges.len()).map(|_| Vec::new()).collect();
-            for ((a, b), link) in all_links {
-                group_links[eth.group_of(a)].push(((a, b), link));
-            }
-            let mut switches: Vec<EthSwitch<PcieItem>> =
-                (0..ranges.len()).map(|g| eth.take_switch(g)).collect();
-            let topology = &self.cfg.topology;
-            std::thread::scope(|s| {
-                let mut rest_f: &mut [Fpga] = &mut self.fpgas;
-                let mut rest_i: &mut [bool] = &mut idle_flags;
-                for ((range, lk), sw) in
-                    ranges.iter().zip(group_links.iter_mut()).zip(switches.iter_mut())
-                {
-                    let (chunk_f, rf) = rest_f.split_at_mut(range.len());
-                    rest_f = rf;
-                    let (chunk_i, ri) = rest_i.split_at_mut(range.len());
-                    rest_i = ri;
-                    let first = range.start;
-                    s.spawn(move || {
-                        group_epoch(first, chunk_f, lk, sw, topology, chunk_i, tg, glen, local);
-                    });
-                }
-            });
-            for (g, sw) in switches.into_iter().enumerate() {
-                eth.put_switch(g, sw);
-            }
-            let mut merged: Vec<((usize, usize), PcieLink)> =
-                group_links.into_iter().flatten().collect();
-            // Construction order is ascending (a, b); restoring it keeps
-            // `link_idx` valid.
-            merged.sort_by_key(|l| l.0);
-            self.links = merged;
-            spent += glen;
-        }
-        self.now = start_now + spent;
     }
 
     /// How many upcoming cycles are provably skippable from the current
@@ -1037,8 +831,9 @@ impl Platform {
             let (fpgas, links, eth) = (&mut self.fpgas, &mut self.links, &mut self.eth);
             let link_idx = &self.link_idx;
             drain_shell_outbound(&mut fpgas[fi], |to, item| {
-                if link_idx[fi * nf + to] != usize::MAX {
-                    link_send_indexed(links, link_idx, nf, now, fi, to, item);
+                let li = link_idx[fi * nf + to];
+                if li != usize::MAX {
+                    link_send_indexed(links, li, now, fi, item);
                 } else {
                     let eth = eth.as_mut().expect("unlinked pair implies an Ethernet fabric");
                     eth.send(now, fi, to, item.wire_bytes(), item);
@@ -1079,26 +874,19 @@ impl Platform {
         self.links.iter().map(|(_, l)| l.one_way_latency()).min().unwrap_or(0)
     }
 
-    /// Runs for `cycles` cycles on worker threads, one per FPGA, advancing
-    /// in epochs of [`Platform::lookahead`] cycles. Falls back to the
-    /// serial stepper when there is no lookahead to exploit.
+    /// Runs for `cycles` cycles through the epoch driver with one thread
+    /// per unit — per FPGA on a PCIe star, per switch group on Ethernet
+    /// and Hybrid. Falls back to [`Platform::run`] when there is no
+    /// lookahead to exploit.
     ///
     /// The execution is bit-identical to [`Platform::run`]: identical
-    /// cycle count, statistics, memory, and console output.
+    /// cycle count, statistics, memory, console output, and snapshot bytes.
     pub fn run_parallel(&mut self, cycles: u64) {
-        if self.eth.is_some() {
-            if self.grouped_lookaheads().0 > 0 && cycles > 0 {
-                self.run_groups_parallel(cycles);
-            } else {
-                self.run(cycles);
-            }
-            return;
-        }
-        if self.lookahead() == 0 || cycles == 0 {
+        if cycles > 0 && self.epoch_plan().is_some() {
+            self.drive_epochs(cycles, false, true);
+        } else {
             self.run(cycles);
-            return;
         }
-        self.run_epochs(cycles, false);
     }
 
     /// The cooperative preemption grain: the smallest run-length multiple
@@ -1165,34 +953,29 @@ impl Platform {
         spent
     }
 
-    /// Advances one epoch (up to [`Platform::lookahead`] cycles) with one
-    /// worker thread per FPGA; returns the number of cycles advanced.
-    /// Without lookahead this degenerates to a single serial step.
+    /// Advances one epoch — [`Platform::lookahead`] cycles on a PCIe star,
+    /// the global lookahead on Ethernet and Hybrid — with one thread per
+    /// unit; returns the number of cycles advanced. Without lookahead this
+    /// degenerates to a single serial step.
     pub fn step_epoch(&mut self) -> u64 {
-        if self.eth.is_some() {
-            let (local, global) = self.grouped_lookaheads();
-            if local == 0 {
-                self.step();
-                return 1;
+        match self.epoch_plan() {
+            Some((width, _)) => {
+                self.drive_epochs(width, false, true);
+                width
             }
-            self.run_groups_parallel(global);
-            return global;
+            None => {
+                self.step();
+                1
+            }
         }
-        let l = self.lookahead();
-        if l == 0 {
-            self.step();
-            return 1;
-        }
-        self.run_epochs(l, false);
-        l
     }
 
-    /// Parallel [`Platform::run_until_idle`]: epoch-stepped on worker
-    /// threads, up to `max` cycles. On quiescence, [`Platform::now`] lands
-    /// on the same cycle the serial path reports and guest clocks are
-    /// rolled back over any epoch overshoot.
+    /// Parallel [`Platform::run_until_idle`]: the epoch driver with one
+    /// thread per FPGA, up to `max` cycles. On quiescence,
+    /// [`Platform::now`] lands on the same cycle the serial path reports
+    /// and guest clocks are rolled back over any epoch overshoot.
     ///
-    /// Caveat: workers always finish their epoch, so host-side UART output
+    /// Caveat: lanes always finish their epoch, so host-side UART output
     /// that matures *after* quiescence but before the epoch boundary is
     /// already drained to [`HostSerial`] when this returns (the serial
     /// path surfaces those bytes on the next run call instead). Guest-
@@ -1201,111 +984,175 @@ impl Platform {
         if self.eth.is_some() || self.lookahead() == 0 {
             // Network-attached topologies use the serial idle loop: it
             // warps dead stretches to the next fabric event and lands on
-            // the exact quiescent cycle, which the grouped drivers (built
+            // the exact quiescent cycle, which the grouped units (built
             // for fixed-cycle runs) do not track.
             return self.run_until_idle(max);
         }
         if self.is_idle() {
             return true;
         }
-        self.run_epochs(max, true) || self.is_idle()
+        self.drive_epochs(max, true, true) || self.is_idle()
     }
 
-    /// The epoch engine shared by the parallel run modes: persistent
-    /// worker threads (one per FPGA) advance lockstep epochs of at most
-    /// the PCIe lookahead; the barrier replays buffered sends into the
-    /// links in `(from, to)` order and pre-extracts the next epoch's
-    /// deliveries. Returns true when `stop_when_idle` observed global
-    /// quiescence (and trimmed `now` back to its exact cycle).
-    fn run_epochs(&mut self, max_cycles: u64, stop_when_idle: bool) -> bool {
+    /// The epoch driver behind every fast entry point. It partitions the
+    /// platform into units (see the module docs), then runs epochs of the
+    /// [`Platform::epoch_plan`] width up to `max_cycles`. Each epoch:
+    ///
+    /// 1. the barrier records the epoch into `host.stepper` and the trace,
+    ///    exchanges the Ethernet spine up to the epoch's end, lends each
+    ///    unit its switch, and pulls every cross-unit PCIe flight maturing
+    ///    inside the epoch into its receiver's mail;
+    /// 2. every unit runs [`Unit::epoch`] — inline on this thread, or on
+    ///    its own lane when `threaded`;
+    /// 3. the barrier takes the switches back and replays cross-unit sends
+    ///    into the links in fixed unit order. Each link direction has a
+    ///    single sending FPGA, so replaying one unit's buffer in send order
+    ///    reproduces the per-cycle shaper state exactly.
+    ///
+    /// With `stop_when_idle` (PCIe star only) the driver stops after the
+    /// first epoch that ends globally quiet, trims `now` back to the first
+    /// quiescent cycle, and returns true.
+    fn drive_epochs(&mut self, max_cycles: u64, stop_when_idle: bool, threaded: bool) -> bool {
+        let (width, local) = self.epoch_plan().expect("callers check for a lookahead");
         let nf = self.fpgas.len();
-        let lookahead =
-            self.links.iter().map(|(_, l)| l.one_way_latency()).min().expect("links exist");
         let start_now = self.now;
-        let fpgas = &mut self.fpgas;
-        let links = &mut self.links;
-        let link_idx = &self.link_idx;
-        let host_epochs = &mut self.host_epochs;
-        let host_trace = &mut self.host_trace;
-        let epoch_count = &mut self.epoch_count;
-        let (spent, went_idle, last_active) = std::thread::scope(|s| {
-            let (out_tx, out_rx) = mpsc::channel::<EpochOut>();
-            let mut job_txs = Vec::with_capacity(nf);
-            for (w, fpga) in fpgas.iter_mut().enumerate() {
-                let (tx, rx) = mpsc::channel::<EpochJob>();
-                job_txs.push(tx);
-                let out_tx = out_tx.clone();
-                s.spawn(move || epoch_worker(w, fpga, rx, out_tx));
-            }
-            drop(out_tx);
+        let Self { fpgas, links, link_idx, eth, host_epochs, host_trace, epoch_count, .. } = self;
+        let link_idx: &[usize] = link_idx;
+        let ranges: Vec<std::ops::Range<usize>> = match eth.as_ref() {
+            Some(eth) => (0..eth.groups()).map(|g| eth.group_members(g)).collect(),
+            None => (0..nf).map(|f| f..f + 1).collect(),
+        };
+        // On a star every link crosses units and stays with the barrier. In
+        // switch groups every link is internal: Hybrid groups are
+        // contiguous FPGA ranges and links are built in ascending pair
+        // order, so each group's links are a contiguous run too.
+        let (mut unit_links, barrier_links): (&mut [_], &mut [_]) =
+            if eth.is_some() { (links, &mut []) } else { (&mut [], links) };
+        let mut rest: &mut [Fpga] = fpgas;
+        let mut link_base = 0;
+        let mut units = Vec::with_capacity(ranges.len());
+        for r in &ranges {
+            let (members, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            let n = unit_links.partition_point(|((a, _), _)| *a < r.end);
+            let (own, tail) = std::mem::take(&mut unit_links).split_at_mut(n);
+            unit_links = tail;
+            units.push(Unit {
+                first: r.start,
+                idle: members.iter().map(Fpga::is_idle).collect(),
+                fpgas: members,
+                links: own,
+                link_base,
+                link_idx,
+                nf,
+                local,
+                track: stop_when_idle,
+                outbound: Vec::new(),
+            });
+            link_base += n;
+        }
+        let mut mails: Vec<Mail> = ranges
+            .iter()
+            .map(|_| Mail {
+                start: 0,
+                len: 0,
+                inbound: Vec::new(),
+                sw: eth.as_ref().map(|_| EthSwitch::placeholder()),
+                sends: Vec::new(),
+                last_active: None,
+                idle: false,
+            })
+            .collect();
+        let mut epochs = |advance: &mut dyn FnMut(&mut Vec<Mail>)| {
             let mut spent = 0u64;
-            let mut went_idle = false;
             let mut last_active: Option<Cycle> = None;
             while spent < max_cycles {
-                let len = lookahead.min(max_cycles - spent);
-                let epoch_start = start_now + spent;
-                let horizon = epoch_start + len;
+                let len = width.min(max_cycles - spent);
+                let start = start_now + spent;
+                let end = start + len;
                 host_epochs.record(len);
                 let idx = *epoch_count;
                 *epoch_count += 1;
-                host_trace.record(epoch_start, || TraceEventKind::Epoch { index: idx, width: len });
-                // Pull everything the links deliver inside this epoch and
-                // schedule it at the receiving worker, keyed by sender.
-                let mut schedules: Vec<Vec<(Cycle, usize, Flight)>> =
-                    (0..nf).map(|_| Vec::new()).collect();
-                for ((a, b), link) in links.iter_mut() {
-                    for (c, fl) in link.take_flights_to_b_before(horizon) {
-                        schedules[*b].push((c, *a, fl));
+                host_trace.record(start, || TraceEventKind::Epoch { index: idx, width: len });
+                if let Some(eth) = eth.as_mut() {
+                    // Complete even for a truncated epoch: a frame arriving
+                    // before `end` left its source group an uplink latency
+                    // earlier, i.e. before `start` — already forwarded by
+                    // the previous epoch.
+                    eth.exchange(end);
+                }
+                for (g, mail) in mails.iter_mut().enumerate() {
+                    mail.start = start;
+                    mail.len = len;
+                    if let (Some(eth), Some(sw)) = (eth.as_mut(), mail.sw.as_mut()) {
+                        std::mem::swap(eth.switch_mut(g), sw);
                     }
-                    for (c, fl) in link.take_flights_to_a_before(horizon) {
-                        schedules[*a].push((c, *b, fl));
+                }
+                // Cross-unit links exist only on a star, where unit `f` is
+                // FPGA `f`.
+                for ((a, b), link) in barrier_links.iter_mut() {
+                    for (c, fl) in link.take_flights_to_b_before(end) {
+                        mails[*b].inbound.push((c, *a, fl));
+                    }
+                    for (c, fl) in link.take_flights_to_a_before(end) {
+                        mails[*a].inbound.push((c, *b, fl));
                     }
                 }
-                for q in &mut schedules {
-                    // Stable: same-(cycle, from) flights keep send order.
-                    q.sort_by_key(|&(c, f, _)| (c, f));
-                }
-                for (w, tx) in job_txs.iter().enumerate() {
-                    let job = EpochJob {
-                        start: epoch_start,
-                        len,
-                        inbound: std::mem::take(&mut schedules[w]),
-                        eth_inbound: Vec::new(),
-                        track: stop_when_idle,
-                    };
-                    tx.send(job).expect("worker alive");
-                }
-                let mut outs: Vec<Option<EpochOut>> = (0..nf).map(|_| None).collect();
-                for _ in 0..nf {
-                    let o = out_rx.recv().expect("worker alive");
-                    let w = o.worker;
-                    outs[w] = Some(o);
-                }
-                // Barrier: replay sends in fixed (from, to) order. Each
-                // link direction has a single sending FPGA, so replaying
-                // one worker's buffer in timestamp order reproduces the
-                // serial shaper state exactly.
+                advance(&mut mails);
                 let mut all_idle = true;
-                for slot in &mut outs {
-                    let o = slot.as_mut().expect("every worker reported");
-                    all_idle &= o.idle_at_end;
-                    if let Some(t) = o.last_active {
-                        last_active = Some(last_active.map_or(t, |p| p.max(t)));
+                for (g, mail) in mails.iter_mut().enumerate() {
+                    if let (Some(eth), Some(sw)) = (eth.as_mut(), mail.sw.as_mut()) {
+                        std::mem::swap(eth.switch_mut(g), sw);
                     }
-                    for (t, to, item) in o.sends.drain(..) {
-                        link_send_indexed(links, link_idx, nf, t, o.worker, to, item);
+                    all_idle &= mail.idle;
+                    last_active = last_active.max(mail.last_active);
+                    for (t, from, to, item) in mail.sends.drain(..) {
+                        link_send_indexed(barrier_links, link_idx[from * nf + to], t, from, item);
                     }
                 }
                 spent += len;
-                if stop_when_idle && all_idle && links.iter().all(|(_, l)| l.is_idle()) {
-                    went_idle = true;
-                    break;
+                if stop_when_idle && all_idle && barrier_links.iter().all(|(_, l)| l.is_idle()) {
+                    return (spent, true, last_active);
                 }
             }
-            (spent, went_idle, last_active)
-        });
+            (spent, false, last_active)
+        };
+        let (spent, went_idle, last_active) = if threaded {
+            std::thread::scope(|s| {
+                let lanes: Vec<_> = units
+                    .into_iter()
+                    .map(|mut unit| {
+                        let (to_lane, jobs) = mpsc::channel::<Mail>();
+                        let (done, from_lane) = mpsc::channel::<Mail>();
+                        s.spawn(move || {
+                            for mut mail in jobs {
+                                unit.epoch(&mut mail);
+                                if done.send(mail).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        (to_lane, from_lane)
+                    })
+                    .collect();
+                epochs(&mut |mails| {
+                    for ((to_lane, _), mail) in lanes.iter().zip(mails.drain(..)) {
+                        to_lane.send(mail).expect("lane alive");
+                    }
+                    mails.extend(
+                        lanes.iter().map(|(_, from_lane)| from_lane.recv().expect("lane alive")),
+                    );
+                })
+            })
+        } else {
+            epochs(&mut |mails| {
+                for (unit, mail) in units.iter_mut().zip(mails.iter_mut()) {
+                    unit.epoch(mail);
+                }
+            })
+        };
         if went_idle {
-            // Workers ran to the epoch boundary; trim back to the first
+            // Units ran to the epoch boundary; trim back to the first
             // quiescent cycle, undoing the overshoot's clock ticks.
             let epoch_end = start_now + spent;
             let resume = last_active.map_or(start_now, |t| t + 1);
@@ -1645,7 +1492,7 @@ impl Platform {
         }
         if let Some(eth) = &self.eth {
             // Fabric hop meters sample occupancy at pump-call time, which
-            // the grouped drivers batch differently from the per-cycle
+            // the epoch driver batches differently from the per-cycle
             // reference — stepper diagnostics, so they live under `host.`
             // and are stripped by [`MetricsRegistry::architectural`]. The
             // deterministic fabric counters (`eth.frames`, `eth.bytes`)

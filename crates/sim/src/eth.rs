@@ -222,7 +222,7 @@ type JitterKey = (Cycle, u32, u64, u8);
 /// A top-of-rack switch: per-member ingress/egress hops, one spine uplink,
 /// the remote-arrival queue fed by [`EthFabric::exchange`], and the
 /// per-member fault jitter stage. Owns everything its group's epoch driver
-/// touches, so grouped drivers can move whole switches onto worker threads.
+/// touches, so the driver can lend a whole switch to a group's thread.
 #[derive(Debug, Clone)]
 pub struct EthSwitch<T> {
     params: EthParams,
@@ -298,8 +298,8 @@ impl<T: Clone> EthSwitch<T> {
         }
     }
 
-    /// A zero-member placeholder (used to swap a real switch onto a worker
-    /// thread and back).
+    /// A zero-member placeholder: holds a switch's place while the real
+    /// one is lent out to an epoch driver's unit.
     pub fn placeholder() -> Self {
         Self::new(usize::MAX, 0, 0, 0, &EthParams::default(), None)
     }
@@ -659,8 +659,8 @@ impl<T: Clone> EthFabric<T> {
     }
 
     /// Forwards matured frames below `horizon` on every switch (the
-    /// per-cycle reference pump; grouped drivers call
-    /// [`EthFabric::switch_mut`] per group instead).
+    /// per-cycle reference pump; the epoch driver borrows each group's
+    /// switch through [`EthFabric::switch_mut`] instead).
     pub fn process_all(&mut self, horizon: Cycle) {
         for sw in &mut self.switches {
             sw.process(horizon);
@@ -677,18 +677,6 @@ impl<T: Clone> EthFabric<T> {
     /// Mutable access to group `g`'s switch (for grouped epoch drivers).
     pub fn switch_mut(&mut self, g: usize) -> &mut EthSwitch<T> {
         &mut self.switches[g]
-    }
-
-    /// Moves group `g`'s switch out (leaving a placeholder) so a worker
-    /// thread can own it for a global epoch; pair with
-    /// [`EthFabric::put_switch`].
-    pub fn take_switch(&mut self, g: usize) -> EthSwitch<T> {
-        std::mem::replace(&mut self.switches[g], EthSwitch::placeholder())
-    }
-
-    /// Returns a switch taken with [`EthFabric::take_switch`].
-    pub fn put_switch(&mut self, g: usize, sw: EthSwitch<T>) {
-        self.switches[g] = sw;
     }
 
     /// True when no frame is in flight anywhere.

@@ -201,6 +201,54 @@ fn step_epoch_advances_by_the_global_lookahead_on_ethernet() {
     assert_bit_identical(&serial, &stepped, "step_epoch on eth");
 }
 
+/// `run` and the threaded entry points must follow one epoch schedule.
+/// The differentials above compare architectural state only; preemption
+/// and resume byte-identity also need the `host.stepper` section to
+/// match. Twins take one seeded sequence of slices — grain multiples, odd
+/// tails, and whole epochs — one twin through `run` alone, the other
+/// through `run_parallel` and `step_epoch`.
+#[test]
+fn run_and_the_threaded_paths_record_one_epoch_schedule() {
+    let configs = [
+        ("4-FPGA star", Config::new(4, 1, 1)),
+        ("8-FPGA eth", eth_cfg(8, 4)),
+        ("16-FPGA hybrid", hybrid_cfg(16, 4)),
+    ];
+    for (label, cfg) in configs {
+        let mut serial = scale_platform(cfg.clone(), 2, 0x5C4E);
+        let mut threaded = scale_platform(cfg, 2, 0x5C4E);
+        let grain = serial.preemption_grain();
+        let mut rng = SimRng::new(0xE90C);
+        let mut step_epochs = 0;
+        for _ in 0..16 {
+            match rng.gen_range(3) {
+                0 => {
+                    let width = threaded.step_epoch();
+                    serial.run(width);
+                    step_epochs += 1;
+                }
+                1 => {
+                    let len = grain * (rng.gen_range(2) + 1);
+                    serial.run(len);
+                    threaded.run_parallel(len);
+                }
+                _ => {
+                    let tail = rng.gen_range(grain) | 1;
+                    serial.run(tail);
+                    threaded.run_parallel(tail);
+                }
+            }
+        }
+        assert!(step_epochs > 0, "{label}: the sequence never took a step_epoch");
+        assert_bit_identical(&serial, &threaded, label);
+        assert_eq!(
+            serial.snapshot().to_bytes(),
+            threaded.snapshot().to_bytes(),
+            "{label}: snapshot bytes (host.stepper included) diverged"
+        );
+    }
+}
+
 #[test]
 fn topologies_agree_architecturally() {
     // The same logical 4x1x1 SoC over three interconnects: a PCIe star,
