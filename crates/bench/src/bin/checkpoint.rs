@@ -5,13 +5,14 @@
 //! format on disk:
 //!
 //! ```sh
-//! checkpoint save  snap.bin ref.txt    # run to the cut, write the raw
-//!                                      # SMAPSNAP wire, finish, record
+//! checkpoint save  snap.bin ref.txt    # run to the cut, write the
+//!                                      # uncompressed stream frame,
+//!                                      # finish, record
 //! checkpoint resume snap.bin ref.txt   # fresh process: rebuild, restore,
 //!                                      # finish, compare against ref.txt
 //! checkpoint stream-save   s.strm ref  # same cut, but streamed to disk
-//!                                      # as a compressed SMAPSTRM chunk
-//!                                      # stream (bounded memory)
+//!                                      # as a compressed stream frame
+//!                                      # (bounded memory)
 //! checkpoint stream-resume s.strm ref  # restore via the streaming
 //!                                      # source, finish, compare
 //! checkpoint scale64                   # 64-FPGA Ethernet rack: gate the
@@ -37,7 +38,7 @@ use std::io::{BufReader, BufWriter};
 
 use smappic_bench::write_sections;
 use smappic_core::{Config, Platform, Topology, DRAM_BASE};
-use smappic_sim::{CountingSink, EthParams, Snapshot, StreamSink};
+use smappic_sim::{EthParams, Snapshot, StreamSink};
 use smappic_tile::{TraceCore, TraceOp};
 
 /// Cycle at which the save modes checkpoint.
@@ -147,24 +148,19 @@ fn child_rss(args: &[&str]) -> u64 {
 fn scale64() {
     let p = build_rack();
 
-    // Size accounting without materializing anything: the counting sink
-    // measures the raw payload, the stream sink the compressed image.
-    let mut counting = CountingSink::new();
-    p.snapshot_to(&mut counting).expect("counting walk");
-    let raw = counting.raw_bytes();
+    // One compressed walk measures both sizes: the sink counts the raw
+    // payload it was handed and the buffer holds the compressed frame.
     let mut z = Vec::new();
-    {
-        let mut sink = StreamSink::new(&mut z, true);
-        p.snapshot_to(&mut sink).expect("compressed walk");
-    }
+    let mut sink = StreamSink::new(&mut z, true);
+    p.snapshot_to(&mut sink).expect("compressed walk");
+    let raw = sink.raw_bytes();
     let compressed = z.len() as u64;
     let ratio = compressed as f64 / raw as f64;
     println!(
-        "scale64: raw {} B, compressed stream {} B ({:.1}% of raw, {} sections)",
+        "scale64: raw {} B, compressed stream {} B ({:.1}% of raw)",
         raw,
         compressed,
-        ratio * 100.0,
-        counting.sections()
+        ratio * 100.0
     );
     assert!(
         compressed * 100 < raw * 40,
@@ -207,8 +203,8 @@ fn scale64_child(args: &[String]) {
     let p = build_rack();
     match args {
         [kind] if kind == "mem" => {
-            // The in-memory path: one owned Snapshot plus the full raw
-            // wire image live simultaneously.
+            // The in-memory path: one owned Snapshot plus its full
+            // uncompressed frame live simultaneously.
             let snap = p.snapshot();
             let wire = snap.to_bytes();
             println!("mem path: {} wire bytes", wire.len());
@@ -251,7 +247,7 @@ fn main() {
         }
         [_, m, snap_path, ref_path] if m == "resume" => {
             let wire = std::fs::read(snap_path).expect("read snapshot");
-            let snap = Snapshot::from_bytes(&wire).unwrap_or_else(|e| {
+            let snap = Snapshot::from_stream_bytes(&wire).unwrap_or_else(|e| {
                 eprintln!("snapshot failed to parse: {e}");
                 std::process::exit(1);
             });

@@ -1214,15 +1214,14 @@ impl Platform {
     /// Streams the platform's state into `sink` section-by-section —
     /// same walk, same sections, same bytes as [`Platform::snapshot`],
     /// but at most one top-level component's sections are resident at a
-    /// time, so a 64-FPGA rack checkpoints to a file (or a
-    /// [`smappic_sim::CountingSink`]) in bounded memory.
+    /// time, so a 64-FPGA rack checkpoints to a file in bounded memory.
     ///
     /// # Errors
     ///
     /// Propagates the first sink error (e.g. I/O failure of a file-backed
     /// [`smappic_sim::StreamSink`]).
     pub fn snapshot_to(&self, sink: &mut dyn SnapSink) -> Result<(), SnapError> {
-        sink.begin(smappic_sim::SNAP_VERSION, self.config_digest(), self.now)?;
+        sink.begin(self.config_digest(), self.now)?;
         let mut w = SnapWriter::streaming(sink);
         self.save_walk(&mut w);
         w.finish()?;
@@ -1251,17 +1250,11 @@ impl Platform {
     /// # Errors
     ///
     /// Returns the first [`SnapError`] encountered — config digest
-    /// mismatch, format version skew, a missing/trailing/unknown section,
-    /// or a component-level validation failure. On error the platform's
+    /// mismatch, a missing/trailing/unknown section, or a
+    /// component-level validation failure. On error the platform's
     /// state is unspecified (possibly partially restored): rebuild it or
     /// restore a valid snapshot before further use.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        if snap.version != smappic_sim::SNAP_VERSION {
-            return Err(SnapError::VersionMismatch {
-                found: snap.version,
-                expected: smappic_sim::SNAP_VERSION,
-            });
-        }
         let expected = self.config_digest();
         if snap.config_digest != expected {
             return Err(SnapError::ConfigMismatch { found: snap.config_digest, expected });
@@ -1292,7 +1285,7 @@ impl Platform {
         });
     }
 
-    /// Restores from a `SMAPSTRM` checkpoint stream (the
+    /// Restores from a full-snapshot stream frame (the
     /// [`smappic_sim::StreamSink`] wire form) without materializing the
     /// whole snapshot: sections are pulled, validated, and freed as the
     /// restore walk consumes them, so memory stays bounded just like the
@@ -1301,12 +1294,17 @@ impl Platform {
     /// # Errors
     ///
     /// Any [`StreamSource`] validation failure (magic/version/flags,
-    /// truncation, codec corruption, count/digest trailer mismatch),
-    /// config digest skew, or the usual restore-walk format errors. On
-    /// error the platform's state is unspecified, as with
+    /// truncation, codec corruption, count/digest trailer mismatch), a
+    /// delta frame, config digest skew, or the usual restore-walk format
+    /// errors. On error the platform's state is unspecified, as with
     /// [`Platform::restore`].
     pub fn restore_from(&mut self, reader: impl std::io::Read) -> Result<(), SnapError> {
         let mut src = StreamSource::open(reader)?;
+        if src.base_digest().is_some() {
+            return Err(SnapError::Corrupt(
+                "delta frame where a full snapshot was expected".into(),
+            ));
+        }
         let expected = self.config_digest();
         if src.config_digest() != expected {
             return Err(SnapError::ConfigMismatch { found: src.config_digest(), expected });

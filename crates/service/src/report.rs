@@ -109,15 +109,15 @@ pub struct JobReport {
     /// preemption pattern, or steal order. Zero for panicked and
     /// rejected jobs (no platform outcome exists).
     pub digest: u64,
-    /// Raw (`SMAPSNAP`) wire size of the final image; 0 when neither
-    /// snapshots nor checkpoints were requested (measuring costs a full
-    /// serialization walk).
+    /// Raw payload size ([`Snapshot::payload_bytes`]) of the final image;
+    /// 0 when neither snapshots nor checkpoints were requested (measuring
+    /// costs a full snapshot walk).
     pub snapshot_bytes: u64,
-    /// Compressed (`SMAPSTRM`) size of the same image; 0 when not
+    /// Compressed stream frame size of the same image; 0 when not
     /// measured.
     pub compressed_bytes: u64,
-    /// Cumulative raw wire bytes a full snapshot would have cost at each
-    /// preemption park.
+    /// Cumulative raw payload bytes of the full image at each preemption
+    /// park.
     pub park_raw_bytes: u64,
     /// Cumulative bytes the scheduler actually held for this job while
     /// parked (compressed base image + compressed delta).
@@ -141,11 +141,12 @@ impl JobReport {
         matches!(self.exit, JobExit::Rejected { .. })
     }
 
-    /// The final snapshot as raw `SMAPSNAP` wire bytes, decompressed
-    /// from the stream form the scheduler stores. `Ok(None)` when the
-    /// scheduler was not asked to keep final snapshots; `Err` when the
-    /// stored stream is corrupted (a torn artifact degrades into a typed
-    /// error instead of panicking the reader).
+    /// The final snapshot as an uncompressed stream frame
+    /// ([`Snapshot::to_bytes`]), decompressed from the compressed frame
+    /// the scheduler stores. `Ok(None)` when the scheduler was not asked
+    /// to keep final snapshots; `Err` when the stored stream is corrupted
+    /// (a torn artifact degrades into a typed error instead of panicking
+    /// the reader).
     pub fn final_snapshot(&self) -> Result<Option<Vec<u8>>, SnapError> {
         let Some(z) = self.final_snapshot_z.as_ref() else { return Ok(None) };
         Ok(Some(Snapshot::from_stream_bytes(z)?.to_bytes()))

@@ -290,7 +290,7 @@ pub fn digest_platform(p: &Platform) -> u64 {
 struct ParkState {
     /// Compressed stream bytes of the last full image.
     base: Vec<u8>,
-    /// Codec-compressed `SMAPDLTA` wire bytes against `base`.
+    /// Codec-compressed delta frame bytes against `base`.
     delta: Option<Vec<u8>>,
 }
 
@@ -324,8 +324,9 @@ struct Task {
     wd_change_at: Cycle,
     wall_secs: f64,
     perf: HostPerf,
-    /// Cumulative raw wire bytes a full snapshot would have cost at each
-    /// park (the baseline the compression ratio is measured against).
+    /// Cumulative raw payload bytes ([`Snapshot::payload_bytes`]) of the
+    /// full image at each park (the baseline the compression ratio is
+    /// measured against).
     park_raw_bytes: u64,
     /// Cumulative bytes actually held while parked (base + delta).
     park_stored_bytes: u64,
@@ -956,7 +957,7 @@ fn park_state(prev: Option<&ParkState>, snap: &Snapshot) -> ParkState {
 }
 
 /// Final-image capture and size accounting: the compressed bytes (when
-/// the scheduler keeps them), the raw wire size, and the compressed
+/// the scheduler keeps them), the raw payload size, and the compressed
 /// size. All zero/absent when neither snapshots nor checkpoints were
 /// requested — measuring would cost a full serialization walk.
 fn final_sizes(p: &Platform, cfg: &SchedulerConfig) -> (Option<Vec<u8>>, u64, u64) {
@@ -964,7 +965,7 @@ fn final_sizes(p: &Platform, cfg: &SchedulerConfig) -> (Option<Vec<u8>>, u64, u6
         return (None, 0, 0);
     }
     let snap = p.snapshot();
-    let raw = snap.to_bytes().len() as u64;
+    let raw = snap.payload_bytes() as u64;
     let z = snap.to_stream_bytes(true);
     let zlen = z.len() as u64;
     (cfg.capture_final_snapshots.then_some(z), raw, zlen)
@@ -1075,7 +1076,7 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             };
             if yield_now {
                 let snap = p.snapshot();
-                let raw = snap.to_bytes().len() as u64;
+                let raw = snap.payload_bytes() as u64;
                 let park = park_state(resumed_from.as_ref(), &snap);
                 return Segment::Parked { park, raw, spent, wd: wd.state(), perf: p.host_perf() };
             }

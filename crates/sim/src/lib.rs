@@ -68,9 +68,8 @@ pub use port::{DelayPort, Port, PortMeter, Ring, ELASTIC_PREALLOC_CAP};
 pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{
-    fnv1a, read_stream, CountingSink, MemorySink, Pack, SaveState, SectionSource, SnapDelta,
-    SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSink, StreamSource,
-    HOST_SECTION_PREFIX, SNAP_VERSION,
+    fnv1a, Pack, SaveState, SectionSource, SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter,
+    Snapshot, StreamSink, StreamSource, HOST_SECTION_PREFIX, SNAP_VERSION,
 };
 pub use stats::{CounterSet, Histogram, Stats};
 

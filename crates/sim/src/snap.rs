@@ -1,5 +1,6 @@
-//! Deterministic snapshot/restore: the `SaveState` contract, the versioned
-//! length-prefixed binary format, and the [`Snapshot`] container.
+//! Deterministic snapshot/restore: the `SaveState` contract, the
+//! named-section [`Snapshot`] and [`SnapDelta`] containers, and their one
+//! checksummed wire form, the [`StreamSink`] frame.
 //!
 //! SMAPPIC experiments pay minutes of simulated boot per run (§4.1 of the
 //! paper); checkpointing amortizes that across every future workload, and a
@@ -13,7 +14,7 @@
 //!    component, keyed by the same stable topology-rooted dotted names the
 //!    metrics layer uses (`fpga0.node0.tile1.bpc`). Two snapshots can be
 //!    diffed section-by-section and the first differing component named.
-//! 3. **Versioned evolution.** The container carries a format version and a
+//! 3. **Versioned evolution.** The wire frame carries a format version and a
 //!    config digest; a reader rejects mismatches with a typed
 //!    [`SnapError`], and every section is checked for *exact* consumption
 //!    on scope exit — unknown trailing fields are an error, never UB.
@@ -42,11 +43,8 @@ use std::io::{Read, Write};
 
 use crate::codec;
 
-/// Current snapshot container format version.
+/// Current stream frame format version.
 pub const SNAP_VERSION: u32 = 1;
-
-/// Container magic: the first eight bytes of every serialized snapshot.
-const SNAP_MAGIC: [u8; 8] = *b"SMAPSNAP";
 
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///
@@ -602,13 +600,12 @@ impl<'a> SnapReader<'a> {
 
 /// A point-in-time capture of a platform's architectural state.
 ///
-/// The container is `(version, config digest, cycle, ordered named
-/// sections)`; [`Snapshot::to_bytes`]/[`Snapshot::from_bytes`] give it a
-/// length-prefixed wire form for cross-process checkpointing.
+/// The container is `(config digest, cycle, ordered named sections)`; its
+/// one wire form is the checksummed [`StreamSink`] frame
+/// ([`Snapshot::to_bytes`]/[`Snapshot::from_stream_bytes`]), used for
+/// cross-process checkpointing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
-    pub version: u32,
     /// FNV-1a digest of the originating platform's configuration.
     pub config_digest: u64,
     /// Platform cycle at which the snapshot was taken.
@@ -619,7 +616,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Assembles a snapshot from a finished writer.
     pub fn new(config_digest: u64, cycle: u64, w: SnapWriter) -> Self {
-        Self { version: SNAP_VERSION, config_digest, cycle, sections: w.into_sections() }
+        Self { config_digest, cycle, sections: w.into_sections() }
     }
 
     /// The named sections in walk order.
@@ -632,9 +629,16 @@ impl Snapshot {
         self.sections.iter().find(|(n, _)| n == name).map(|(_, b)| b.as_slice())
     }
 
-    /// Total payload bytes across all sections.
+    /// Total payload bytes across all sections — the "raw" size that
+    /// [`StreamSink::raw_bytes`] reports for the same image.
     pub fn payload_bytes(&self) -> usize {
         self.sections.iter().map(|(_, b)| b.len()).sum()
+    }
+
+    /// The architectural sections, in walk order: everything outside the
+    /// `host` subtree.
+    fn architectural(&self) -> impl Iterator<Item = &(String, Vec<u8>)> {
+        self.sections.iter().filter(|(n, _)| !n.starts_with(HOST_SECTION_PREFIX) && n != "host")
     }
 
     /// The name of the first architectural section on which `self` and
@@ -646,93 +650,32 @@ impl Snapshot {
     /// epoch-parallel steppers. A section present on one side only is
     /// itself a divergence (reported by name).
     pub fn first_divergence(&self, other: &Snapshot) -> Option<String> {
-        let arch = |s: &'_ Snapshot| -> Vec<(String, Vec<u8>)> {
-            s.sections
-                .iter()
-                .filter(|(n, _)| !n.starts_with(HOST_SECTION_PREFIX) && n != "host")
-                .cloned()
-                .collect()
-        };
-        let a = arch(self);
-        let b = arch(other);
-        for i in 0..a.len().max(b.len()) {
-            match (a.get(i), b.get(i)) {
-                (Some((an, ab)), Some((bn, bb))) => {
+        let (mut a, mut b) = (self.architectural(), other.architectural());
+        loop {
+            match (a.next(), b.next()) {
+                (Some((an, ad)), Some((bn, bd))) => {
                     if an != bn {
-                        return Some(an.clone().min(bn.clone()));
+                        return Some(an.min(bn).clone());
                     }
-                    if ab != bb {
+                    if ad != bd {
                         return Some(an.clone());
                     }
                 }
-                (Some((an, _)), None) => return Some(an.clone()),
-                (None, Some((bn, _))) => return Some(bn.clone()),
-                (None, None) => unreachable!("loop bounded by max len"),
+                (Some((n, _)), None) | (None, Some((n, _))) => return Some(n.clone()),
+                (None, None) => return None,
             }
         }
-        None
     }
 
-    /// Serializes the snapshot to its wire form.
+    /// Serializes the snapshot to its uncompressed stream frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.payload_bytes());
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_digest.to_le_bytes());
-        out.extend_from_slice(&self.cycle.to_le_bytes());
-        let count = u32::try_from(self.sections.len()).expect("section count exceeds u32");
-        out.extend_from_slice(&count.to_le_bytes());
-        for (name, data) in &self.sections {
-            let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
-            out.extend_from_slice(&nlen.to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let dlen = u32::try_from(data.len()).expect("section data exceeds u32");
-            out.extend_from_slice(&dlen.to_le_bytes());
-            out.extend_from_slice(data);
-        }
-        out
-    }
-
-    /// Parses a snapshot from its wire form, validating magic and version.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut c = Cur { b: bytes, at: 0 };
-        if c.take(8)? != SNAP_MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != SNAP_VERSION {
-            return Err(SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
-        }
-        let config_digest = c.u64()?;
-        let cycle = c.u64()?;
-        let count = c.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let nlen = c.u32()? as usize;
-            let name = String::from_utf8(c.take(nlen)?.to_vec())
-                .map_err(|_| SnapError::Corrupt("non-UTF-8 section name".into()))?;
-            let dlen = c.u32()? as usize;
-            let data = c.take(dlen)?.to_vec();
-            sections.push((name, data));
-        }
-        if c.at != bytes.len() {
-            return Err(SnapError::Corrupt("trailing container bytes".into()));
-        }
-        Ok(Self { version, config_digest, cycle, sections })
-    }
-
-    /// FNV-1a digest of each section's payload, in walk order — the basis
-    /// for dirty-section detection in [`SnapDelta::between`].
-    pub fn section_digests(&self) -> Vec<(String, u64)> {
-        self.sections.iter().map(|(n, b)| (n.clone(), fnv1a(b))).collect()
+        self.to_stream_bytes(false)
     }
 
     /// A digest over the full captured state: config digest, cycle, and
-    /// every named section (name and payload, in order). The format
-    /// version is excluded, so the digest is comparable across the
-    /// in-memory container and the streamed wire forms. A delta records
-    /// its base's state digest, which is how out-of-order chain
-    /// application is rejected.
+    /// every named section (name and payload, in order) — exactly what a
+    /// full frame's trailer carries. A delta records its base's state
+    /// digest, which is how out-of-order chain application is rejected.
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
         digest_header(&mut h, self.config_digest, self.cycle);
@@ -746,16 +689,12 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// [`SnapError::VersionMismatch`]/[`SnapError::ConfigMismatch`] when
-    /// the delta is from a different build or platform config,
-    /// [`SnapError::DeltaBaseMismatch`] when `self` is not the exact base
-    /// the delta was computed against (chains must apply in order), and
-    /// [`SnapError::Corrupt`] when the delta names a section the base does
-    /// not have.
+    /// [`SnapError::ConfigMismatch`] when the delta is from a different
+    /// platform config, [`SnapError::DeltaBaseMismatch`] when `self` is
+    /// not the exact base the delta was computed against (chains must
+    /// apply in order), and [`SnapError::Corrupt`] when the delta names a
+    /// section the base does not have.
     pub fn apply_delta(&self, d: &SnapDelta) -> Result<Snapshot, SnapError> {
-        if d.version != self.version {
-            return Err(SnapError::VersionMismatch { found: d.version, expected: self.version });
-        }
         if d.config_digest != self.config_digest {
             return Err(SnapError::ConfigMismatch {
                 found: d.config_digest,
@@ -784,82 +723,41 @@ impl Snapshot {
         Ok(next)
     }
 
-    /// Replays this snapshot into a sink: `begin`, every section in walk
-    /// order, `finish`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first sink error.
-    pub fn write_to(&self, sink: &mut dyn SnapSink) -> Result<(), SnapError> {
-        sink.begin(self.version, self.config_digest, self.cycle)?;
-        for (name, data) in &self.sections {
-            sink.section(name, data)?;
-        }
-        sink.finish()
-    }
-
-    /// Serializes to the [`StreamSink`] wire form in memory — the compact
-    /// format the service layer parks and spills jobs in.
+    /// Serializes to the [`StreamSink`] frame in memory; with `compress`,
+    /// the compact form the service layer parks and spills jobs in.
     pub fn to_stream_bytes(&self, compress: bool) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let mut sink = StreamSink::new(&mut buf, compress);
-        self.write_to(&mut sink).expect("in-memory stream sink cannot fail");
-        buf
+        frame(self.config_digest, self.cycle, None, &self.sections, compress)
     }
 
-    /// Parses a [`StreamSink`]-written byte stream back into a snapshot.
+    /// Parses a full-snapshot frame (raw or compressed) back into a
+    /// snapshot.
     ///
     /// # Errors
     ///
     /// Any [`StreamSource`] validation failure: bad magic/version, unknown
     /// flags, truncation, codec corruption, or a count/digest trailer
-    /// mismatch.
+    /// mismatch; [`SnapError::Corrupt`] on bytes after the trailer or on a
+    /// delta frame.
     pub fn from_stream_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        read_stream(bytes)
-    }
-}
-
-/// Little-endian cursor over a wire container, shared by
-/// [`Snapshot::from_bytes`] and [`SnapDelta::from_bytes`].
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.at + n > self.b.len() {
-            return Err(SnapError::Corrupt("container truncated".into()));
+        match read_frame(bytes)? {
+            (None, snap) => Ok(snap),
+            (Some(_), _) => {
+                Err(SnapError::Corrupt("delta frame where a full snapshot was expected".into()))
+            }
         }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 }
-
-/// Delta container magic: the first eight bytes of a serialized
-/// [`SnapDelta`].
-const DELTA_MAGIC: [u8; 8] = *b"SMAPDLTA";
 
 /// The dirty sections between two snapshots of the same platform: a
 /// compact increment that [`Snapshot::apply_delta`] replays onto the base
 /// to reproduce the successor byte-for-byte.
 ///
 /// A delta pins its base by **state digest**, so a chain applies in order
-/// or not at all; the config digest and format version travel along
-/// exactly as in the full container, and wire parsing reuses the same
-/// validation discipline ([`SnapDelta::to_bytes`]/[`SnapDelta::from_bytes`]
-/// with magic `SMAPDLTA`).
+/// or not at all. Its wire form is the same checksummed [`StreamSink`]
+/// frame as a full snapshot, flagged as a delta and carrying the base
+/// digest in its header ([`SnapDelta::to_bytes`]/[`SnapDelta::from_bytes`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapDelta {
-    /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
-    pub version: u32,
     /// Config digest shared by the base and successor snapshots.
     pub config_digest: u64,
     /// State digest of the base snapshot this delta applies to.
@@ -874,15 +772,11 @@ impl SnapDelta {
     ///
     /// # Errors
     ///
-    /// [`SnapError::VersionMismatch`]/[`SnapError::ConfigMismatch`] when
-    /// the two snapshots are not from the same platform build and config,
-    /// and [`SnapError::Corrupt`] when their section structure differs —
-    /// deltas cover content changes between checkpoints of one platform,
-    /// never topology changes.
+    /// [`SnapError::ConfigMismatch`] when the two snapshots are not from
+    /// the same platform config, and [`SnapError::Corrupt`] when their
+    /// section structure differs — deltas cover content changes between
+    /// checkpoints of one platform, never topology changes.
     pub fn between(base: &Snapshot, next: &Snapshot) -> Result<Self, SnapError> {
-        if next.version != base.version {
-            return Err(SnapError::VersionMismatch { found: next.version, expected: base.version });
-        }
         if next.config_digest != base.config_digest {
             return Err(SnapError::ConfigMismatch {
                 found: next.config_digest,
@@ -904,7 +798,6 @@ impl SnapDelta {
             .map(|(_, (n, b))| (n.clone(), b.clone()))
             .collect();
         Ok(Self {
-            version: next.version,
             config_digest: next.config_digest,
             base_digest: base.state_digest(),
             cycle: next.cycle,
@@ -922,72 +815,88 @@ impl SnapDelta {
         self.sections.iter().map(|(_, b)| b.len()).sum()
     }
 
-    /// Serializes the delta to its wire form.
+    /// Serializes the delta to its uncompressed stream frame.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.payload_bytes());
-        out.extend_from_slice(&DELTA_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_digest.to_le_bytes());
-        out.extend_from_slice(&self.base_digest.to_le_bytes());
-        out.extend_from_slice(&self.cycle.to_le_bytes());
-        let count = u32::try_from(self.sections.len()).expect("section count exceeds u32");
-        out.extend_from_slice(&count.to_le_bytes());
-        for (name, data) in &self.sections {
-            let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
-            out.extend_from_slice(&nlen.to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let dlen = u32::try_from(data.len()).expect("section data exceeds u32");
-            out.extend_from_slice(&dlen.to_le_bytes());
-            out.extend_from_slice(data);
-        }
-        out
+        self.to_stream_bytes(false)
     }
 
-    /// Parses a delta from its wire form, validating magic and version.
+    /// Serializes the delta to its stream frame, optionally with
+    /// codec-compressed section payloads.
+    pub fn to_stream_bytes(&self, compress: bool) -> Vec<u8> {
+        frame(self.config_digest, self.cycle, Some(self.base_digest), &self.sections, compress)
+    }
+
+    /// Parses a delta frame (raw or compressed).
     ///
     /// # Errors
     ///
-    /// [`SnapError::BadMagic`], [`SnapError::VersionMismatch`], or
-    /// [`SnapError::Corrupt`] on truncation / trailing bytes.
+    /// The same validation as [`Snapshot::from_stream_bytes`];
+    /// [`SnapError::Corrupt`] on a full-snapshot frame.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut c = Cur { b: bytes, at: 0 };
-        if c.take(8)? != DELTA_MAGIC {
-            return Err(SnapError::BadMagic);
+        match read_frame(bytes)? {
+            (Some(base_digest), Snapshot { config_digest, cycle, sections }) => {
+                Ok(Self { config_digest, base_digest, cycle, sections })
+            }
+            (None, _) => {
+                Err(SnapError::Corrupt("full snapshot frame where a delta was expected".into()))
+            }
         }
-        let version = c.u32()?;
-        if version != SNAP_VERSION {
-            return Err(SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
-        }
-        let config_digest = c.u64()?;
-        let base_digest = c.u64()?;
-        let cycle = c.u64()?;
-        let count = c.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let nlen = c.u32()? as usize;
-            let name = String::from_utf8(c.take(nlen)?.to_vec())
-                .map_err(|_| SnapError::Corrupt("non-UTF-8 section name".into()))?;
-            let dlen = c.u32()? as usize;
-            let data = c.take(dlen)?.to_vec();
-            sections.push((name, data));
-        }
-        if c.at != bytes.len() {
-            return Err(SnapError::Corrupt("trailing container bytes".into()));
-        }
-        Ok(Self { version, config_digest, base_digest, cycle, sections })
     }
 }
 
+/// Writes one in-memory stream frame: a full snapshot when `base` is
+/// `None`, else a delta against the snapshot whose state digest is `base`.
+fn frame(
+    config_digest: u64,
+    cycle: u64,
+    base: Option<u64>,
+    sections: &[(String, Vec<u8>)],
+    compress: bool,
+) -> Vec<u8> {
+    // Uncompressed size: header (29 bytes, 37 for a delta), 13 bytes of
+    // framing per record, and a 13-byte trailer.
+    let records: usize = sections.iter().map(|(n, d)| 13 + n.len() + d.len()).sum();
+    let mut buf = Vec::with_capacity(if compress { 0 } else { 50 + records });
+    let mut sink = StreamSink { base, ..StreamSink::new(&mut buf, compress) };
+    let mut write = || -> Result<(), SnapError> {
+        sink.begin(config_digest, cycle)?;
+        for (name, data) in sections {
+            sink.section(name, data)?;
+        }
+        sink.finish()
+    };
+    write().expect("in-memory stream sink cannot fail");
+    buf
+}
+
+/// Reads one whole in-memory stream frame: its delta base digest (`None`
+/// for a full snapshot) and the header and sections as a [`Snapshot`].
+fn read_frame(mut bytes: &[u8]) -> Result<(Option<u64>, Snapshot), SnapError> {
+    let mut src = StreamSource::open(&mut bytes)?;
+    let mut sections = Vec::new();
+    while let Some(section) = src.next_section()? {
+        sections.push(section);
+    }
+    let out = (src.base, Snapshot { config_digest: src.config_digest, cycle: src.cycle, sections });
+    if !bytes.is_empty() {
+        return Err(SnapError::Corrupt("bytes after the stream trailer".into()));
+    }
+    Ok(out)
+}
+
 // ---------------------------------------------------------------------------
-// Streaming sinks and sources.
+// The stream frame: the one wire form.
 // ---------------------------------------------------------------------------
 
-/// Stream magic: the first eight bytes of the section-framed checkpoint
-/// stream written by [`StreamSink`].
+/// Stream magic: the first eight bytes of every frame written by
+/// [`StreamSink`].
 const STREAM_MAGIC: [u8; 8] = *b"SMAPSTRM";
 
 /// Stream header flag: section payloads may be codec-compressed.
 const STREAM_FLAG_COMPRESS: u8 = 1;
+/// Stream header flag: the frame is a [`SnapDelta`]; the base state
+/// digest follows the flags byte.
+const STREAM_FLAG_DELTA: u8 = 2;
 /// Stream record tag: a named section follows.
 const REC_SECTION: u8 = 1;
 /// Stream record tag: end of stream; count and digest trailer follow.
@@ -995,157 +904,49 @@ const REC_END: u8 = 0;
 
 /// A destination for a snapshot emitted section-by-section.
 ///
-/// This is the streaming half of the checkpoint layer: a
-/// [`SnapWriter::streaming`] walk (or [`Snapshot::write_to`]) drives
-/// `begin` once, `section` per named section in walk order, and `finish`
-/// once — so a sink never needs the whole snapshot in memory.
+/// A [`SnapWriter::streaming`] walk drives `begin` once, `section` per
+/// named section in walk order, and `finish` once — so a sink never needs
+/// the whole snapshot in memory. [`StreamSink`] is the implementation;
+/// every method surfaces its writer's I/O failures as [`SnapError::Io`].
 pub trait SnapSink {
-    /// Starts a snapshot: format version, config digest, capture cycle.
-    ///
-    /// # Errors
-    ///
-    /// Sink-specific; a [`StreamSink`] surfaces I/O failures.
-    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError>;
+    /// Starts a snapshot: config digest and capture cycle.
+    fn begin(&mut self, config_digest: u64, cycle: u64) -> Result<(), SnapError>;
     /// Emits one named section, in walk order.
-    ///
-    /// # Errors
-    ///
-    /// Sink-specific; a [`StreamSink`] surfaces I/O failures.
     fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError>;
-    /// Ends the snapshot: trailers are written and buffers flushed.
-    ///
-    /// # Errors
-    ///
-    /// Sink-specific; a [`StreamSink`] surfaces I/O failures.
+    /// Ends the snapshot: the trailer is written and the writer flushed.
     fn finish(&mut self) -> Result<(), SnapError>;
-}
-
-/// Collects a streamed snapshot back into an in-memory [`Snapshot`] — the
-/// compatibility sink behind full captures, so the streaming walk and the
-/// owned container produce identical sections.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    version: u32,
-    config_digest: u64,
-    cycle: u64,
-    sections: Vec<(String, Vec<u8>)>,
-}
-
-impl MemorySink {
-    /// Creates an empty memory sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The assembled snapshot.
-    pub fn into_snapshot(self) -> Snapshot {
-        Snapshot {
-            version: self.version,
-            config_digest: self.config_digest,
-            cycle: self.cycle,
-            sections: self.sections,
-        }
-    }
-}
-
-impl SnapSink for MemorySink {
-    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
-        self.version = version;
-        self.config_digest = config_digest;
-        self.cycle = cycle;
-        Ok(())
-    }
-    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
-        self.sections.push((name.to_owned(), data.to_vec()));
-        Ok(())
-    }
-    fn finish(&mut self) -> Result<(), SnapError> {
-        Ok(())
-    }
-}
-
-/// Measures a streamed snapshot without storing it: section count, raw
-/// payload bytes, and the running state digest — everything a full
-/// capture would report, at O(1) memory.
-#[derive(Debug)]
-pub struct CountingSink {
-    sections: usize,
-    raw_bytes: u64,
-    digest: Fnv,
-}
-
-impl Default for CountingSink {
-    fn default() -> Self {
-        Self { sections: 0, raw_bytes: 0, digest: Fnv::new() }
-    }
-}
-
-impl CountingSink {
-    /// Creates a zeroed counting sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of sections seen.
-    pub fn sections(&self) -> usize {
-        self.sections
-    }
-
-    /// Total raw payload bytes across all sections.
-    pub fn raw_bytes(&self) -> u64 {
-        self.raw_bytes
-    }
-
-    /// The state digest so far — equal to [`Snapshot::state_digest`] of
-    /// the equivalent in-memory capture once the walk has finished.
-    pub fn state_digest(&self) -> u64 {
-        self.digest.finish()
-    }
-}
-
-impl SnapSink for CountingSink {
-    fn begin(&mut self, _version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
-        self.sections = 0;
-        self.raw_bytes = 0;
-        self.digest = Fnv::new();
-        digest_header(&mut self.digest, config_digest, cycle);
-        Ok(())
-    }
-    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
-        self.sections += 1;
-        self.raw_bytes += data.len() as u64;
-        digest_section(&mut self.digest, name, data);
-        Ok(())
-    }
-    fn finish(&mut self) -> Result<(), SnapError> {
-        Ok(())
-    }
 }
 
 fn io_err(e: std::io::Error) -> SnapError {
     SnapError::Io(e.to_string())
 }
 
-/// Writes the `SMAPSTRM` wire form to any [`Write`] — the file-backed,
-/// bounded-memory checkpoint path.
+/// Writes the `SMAPSTRM` frame to any [`Write`] — the one wire form of
+/// both snapshots and deltas, and the file-backed, bounded-memory
+/// checkpoint path.
 ///
 /// ## Format
 ///
 /// ```text
 /// "SMAPSTRM" | version: u32 | config_digest: u64 | cycle: u64 | flags: u8
+///            | base_digest: u64                  (delta frames only)
 /// per section: tag=1 | nlen: u32 | name | raw_len: u32 | stored_len: u32 | payload
-/// trailer:     tag=0 | count: u32 | state_digest: u64
+/// trailer:     tag=0 | count: u32 | digest: u64
 /// ```
 ///
 /// With the compress flag set, a section payload is the
 /// [`codec`]-compressed bytes when that is strictly smaller, raw
 /// otherwise — `stored_len == raw_len` marks a raw payload, so the two
-/// cases are never ambiguous. The trailer carries the section count and
-/// the state digest over the *raw* section contents, which is how
-/// [`StreamSource`] rejects truncated or corrupted streams.
+/// cases are never ambiguous. The delta flag marks a [`SnapDelta`] frame
+/// holding only the dirty sections. The trailer carries the section
+/// count and a digest over the config digest, cycle, base digest (deltas
+/// only), and the *raw* section contents — for a full frame, exactly
+/// [`Snapshot::state_digest`] — which is how [`StreamSource`] rejects
+/// truncated or corrupted frames.
 pub struct StreamSink<W: Write> {
     w: W,
     compress: bool,
+    base: Option<u64>,
     count: u32,
     digest: Fnv,
     raw_bytes: u64,
@@ -1156,6 +957,7 @@ impl<W: Write> fmt::Debug for StreamSink<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamSink")
             .field("compress", &self.compress)
+            .field("base", &self.base)
             .field("count", &self.count)
             .field("raw_bytes", &self.raw_bytes)
             .field("stored_bytes", &self.stored_bytes)
@@ -1164,10 +966,18 @@ impl<W: Write> fmt::Debug for StreamSink<W> {
 }
 
 impl<W: Write> StreamSink<W> {
-    /// Creates a sink over `w`; with `compress`, section payloads go
-    /// through the in-tree codec when that shrinks them.
+    /// Creates a full-snapshot sink over `w`; with `compress`, section
+    /// payloads go through the in-tree codec when that shrinks them.
     pub fn new(w: W, compress: bool) -> Self {
-        Self { w, compress, count: 0, digest: Fnv::new(), raw_bytes: 0, stored_bytes: 0 }
+        Self {
+            w,
+            compress,
+            base: None,
+            count: 0,
+            digest: Fnv::new(),
+            raw_bytes: 0,
+            stored_bytes: 0,
+        }
     }
 
     /// Raw (uncompressed) payload bytes seen so far.
@@ -1180,28 +990,35 @@ impl<W: Write> StreamSink<W> {
         self.stored_bytes
     }
 
-    /// The state digest accumulated so far — after the final section,
-    /// equal to [`Snapshot::state_digest`] of the captured state (also
-    /// what the trailer carries). Checkpoint metadata records it to
-    /// reject mismatched state/meta pairs.
+    /// The frame digest accumulated so far — after the final section of
+    /// a full frame, equal to [`Snapshot::state_digest`] of the captured
+    /// state (also what the trailer carries). Checkpoint metadata records
+    /// it to reject mismatched state/meta pairs.
     pub fn state_digest(&self) -> u64 {
         self.digest.finish()
     }
 }
 
 impl<W: Write> SnapSink for StreamSink<W> {
-    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
+    fn begin(&mut self, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
         self.count = 0;
         self.digest = Fnv::new();
         self.raw_bytes = 0;
         self.stored_bytes = 0;
         self.w.write_all(&STREAM_MAGIC).map_err(io_err)?;
-        self.w.write_all(&version.to_le_bytes()).map_err(io_err)?;
+        self.w.write_all(&SNAP_VERSION.to_le_bytes()).map_err(io_err)?;
         self.w.write_all(&config_digest.to_le_bytes()).map_err(io_err)?;
         self.w.write_all(&cycle.to_le_bytes()).map_err(io_err)?;
-        let flags = if self.compress { STREAM_FLAG_COMPRESS } else { 0 };
+        let mut flags = if self.compress { STREAM_FLAG_COMPRESS } else { 0 };
+        if self.base.is_some() {
+            flags |= STREAM_FLAG_DELTA;
+        }
         self.w.write_all(&[flags]).map_err(io_err)?;
         digest_header(&mut self.digest, config_digest, cycle);
+        if let Some(base) = self.base {
+            self.w.write_all(&base.to_le_bytes()).map_err(io_err)?;
+            self.digest.write(&base.to_le_bytes());
+        }
         Ok(())
     }
 
@@ -1241,32 +1058,17 @@ impl<W: Write> SnapSink for StreamSink<W> {
     }
 }
 
-fn read_exact_snap(r: &mut impl Read, buf: &mut [u8]) -> Result<(), SnapError> {
-    r.read_exact(buf).map_err(|e| {
+/// Reads exactly `N` bytes; a short read is a truncated stream.
+fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], SnapError> {
+    let mut b = [0u8; N];
+    r.read_exact(&mut b).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             SnapError::Corrupt("stream truncated".into())
         } else {
             io_err(e)
         }
-    })
-}
-
-fn read_u8_snap(r: &mut impl Read) -> Result<u8, SnapError> {
-    let mut b = [0u8; 1];
-    read_exact_snap(r, &mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32_snap(r: &mut impl Read) -> Result<u32, SnapError> {
-    let mut b = [0u8; 4];
-    read_exact_snap(r, &mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64_snap(r: &mut impl Read) -> Result<u64, SnapError> {
-    let mut b = [0u8; 8];
-    read_exact_snap(r, &mut b)?;
-    Ok(u64::from_le_bytes(b))
+    })?;
+    Ok(b)
 }
 
 /// Reads `len` bytes with bounded preallocation, so a corrupt length
@@ -1280,8 +1082,8 @@ fn read_vec_snap(r: &mut impl Read, len: usize) -> Result<Vec<u8>, SnapError> {
     Ok(buf)
 }
 
-/// Reads the `SMAPSTRM` wire form from any [`Read`], yielding sections
-/// one at a time.
+/// Reads the `SMAPSTRM` frame from any [`Read`], yielding sections one at
+/// a time — the one decoder behind every `from_*` and `restore_from`.
 ///
 /// Magic, version, and flags are validated up front; each compressed
 /// payload is decoded and length-checked as it arrives; and the
@@ -1290,9 +1092,9 @@ fn read_vec_snap(r: &mut impl Read, len: usize) -> Result<Vec<u8>, SnapError> {
 /// restores.
 pub struct StreamSource<R: Read> {
     r: R,
-    version: u32,
     config_digest: u64,
     cycle: u64,
+    base: Option<u64>,
     compressed: bool,
     count: u32,
     digest: Fnv,
@@ -1302,9 +1104,9 @@ pub struct StreamSource<R: Read> {
 impl<R: Read> fmt::Debug for StreamSource<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamSource")
-            .field("version", &self.version)
             .field("config_digest", &self.config_digest)
             .field("cycle", &self.cycle)
+            .field("base", &self.base)
             .field("compressed", &self.compressed)
             .field("count", &self.count)
             .field("done", &self.done)
@@ -1313,7 +1115,7 @@ impl<R: Read> fmt::Debug for StreamSource<R> {
 }
 
 impl<R: Read> StreamSource<R> {
-    /// Opens a stream, validating magic, version, and flags.
+    /// Opens a frame, validating magic, version, and flags.
     ///
     /// # Errors
     ///
@@ -1321,28 +1123,33 @@ impl<R: Read> StreamSource<R> {
     /// [`SnapError::Corrupt`] on unknown flags or truncation, or
     /// [`SnapError::Io`].
     pub fn open(mut r: R) -> Result<Self, SnapError> {
-        let mut magic = [0u8; 8];
-        read_exact_snap(&mut r, &mut magic)?;
-        if magic != STREAM_MAGIC {
+        if read_array(&mut r)? != STREAM_MAGIC {
             return Err(SnapError::BadMagic);
         }
-        let version = read_u32_snap(&mut r)?;
+        let version = u32::from_le_bytes(read_array(&mut r)?);
         if version != SNAP_VERSION {
             return Err(SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
         }
-        let config_digest = read_u64_snap(&mut r)?;
-        let cycle = read_u64_snap(&mut r)?;
-        let flags = read_u8_snap(&mut r)?;
-        if flags & !STREAM_FLAG_COMPRESS != 0 {
+        let config_digest = u64::from_le_bytes(read_array(&mut r)?);
+        let cycle = u64::from_le_bytes(read_array(&mut r)?);
+        let [flags] = read_array(&mut r)?;
+        if flags & !(STREAM_FLAG_COMPRESS | STREAM_FLAG_DELTA) != 0 {
             return Err(SnapError::Corrupt(format!("unknown stream flags {flags:#04x}")));
         }
         let mut digest = Fnv::new();
         digest_header(&mut digest, config_digest, cycle);
+        let base = if flags & STREAM_FLAG_DELTA != 0 {
+            let base = u64::from_le_bytes(read_array(&mut r)?);
+            digest.write(&base.to_le_bytes());
+            Some(base)
+        } else {
+            None
+        };
         Ok(Self {
             r,
-            version,
             config_digest,
             cycle,
+            base,
             compressed: flags & STREAM_FLAG_COMPRESS != 0,
             count: 0,
             digest,
@@ -1350,19 +1157,20 @@ impl<R: Read> StreamSource<R> {
         })
     }
 
-    /// Stream format version.
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Config digest of the captured platform.
     pub fn config_digest(&self) -> u64 {
         self.config_digest
     }
 
-    /// Cycle at which the stream was captured.
+    /// Cycle at which the frame was captured.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// The base state digest of a delta frame; `None` for a full
+    /// snapshot.
+    pub fn base_digest(&self) -> Option<u64> {
+        self.base
     }
 
     /// The next `(name, raw bytes)` section, or `Ok(None)` once the end
@@ -1377,11 +1185,11 @@ impl<R: Read> StreamSource<R> {
         if self.done {
             return Ok(None);
         }
-        let tag = read_u8_snap(&mut self.r)?;
+        let [tag] = read_array(&mut self.r)?;
         match tag {
             REC_END => {
-                let count = read_u32_snap(&mut self.r)?;
-                let digest = read_u64_snap(&mut self.r)?;
+                let count = u32::from_le_bytes(read_array(&mut self.r)?);
+                let digest = u64::from_le_bytes(read_array(&mut self.r)?);
                 if count != self.count {
                     return Err(SnapError::Corrupt(format!(
                         "stream yielded {} sections, trailer says {count}",
@@ -1395,14 +1203,14 @@ impl<R: Read> StreamSource<R> {
                 Ok(None)
             }
             REC_SECTION => {
-                let nlen = read_u32_snap(&mut self.r)? as usize;
+                let nlen = u32::from_le_bytes(read_array(&mut self.r)?) as usize;
                 if nlen > 4096 {
                     return Err(SnapError::Corrupt("section name length implausible".into()));
                 }
                 let name = String::from_utf8(read_vec_snap(&mut self.r, nlen)?)
                     .map_err(|_| SnapError::Corrupt("non-UTF-8 section name".into()))?;
-                let raw_len = read_u32_snap(&mut self.r)? as usize;
-                let stored_len = read_u32_snap(&mut self.r)? as usize;
+                let raw_len = u32::from_le_bytes(read_array(&mut self.r)?) as usize;
+                let stored_len = u32::from_le_bytes(read_array(&mut self.r)?) as usize;
                 let stored = read_vec_snap(&mut self.r, stored_len)?;
                 let data = if stored_len == raw_len {
                     stored
@@ -1428,25 +1236,6 @@ impl<R: Read> StreamSource<R> {
             t => Err(SnapError::Corrupt(format!("unknown stream record tag {t:#04x}"))),
         }
     }
-}
-
-/// Reads an entire [`StreamSink`] stream into an in-memory [`Snapshot`].
-///
-/// # Errors
-///
-/// Any [`StreamSource`] validation failure.
-pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
-    let mut src = StreamSource::open(r)?;
-    let mut sections = Vec::new();
-    while let Some((name, data)) = src.next_section()? {
-        sections.push((name, data));
-    }
-    Ok(Snapshot {
-        version: src.version(),
-        config_digest: src.config_digest(),
-        cycle: src.cycle(),
-        sections,
-    })
 }
 
 /// Incremental FNV-1a, the streaming counterpart of [`fnv1a`].
@@ -1662,7 +1451,7 @@ mod tests {
         let mut w = SnapWriter::new();
         build(&mut w);
         let snap = Snapshot::new(7, 100, w);
-        Snapshot::from_bytes(&snap.to_bytes()).expect("wire round-trip")
+        Snapshot::from_stream_bytes(&snap.to_bytes()).expect("wire round-trip")
     }
 
     #[test]
@@ -1680,7 +1469,6 @@ mod tests {
                 w.str("hi");
             });
         });
-        assert_eq!(snap.version, SNAP_VERSION);
         assert_eq!(snap.config_digest, 7);
         assert_eq!(snap.cycle, 100);
         let mut r = SnapReader::new(&snap);
@@ -1768,31 +1556,6 @@ mod tests {
         // Never visit "present": the snapshot holds state this build has no
         // component for.
         assert_eq!(r.finish(), Err(SnapError::UnexpectedSection("present".into())));
-    }
-
-    #[test]
-    fn wire_form_rejects_bad_magic_and_version() {
-        let snap = roundtrip(|w| w.scoped("a", |w| w.u8(1)));
-        let mut bytes = snap.to_bytes();
-        bytes[0] = b'X';
-        assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapError::BadMagic));
-
-        let mut bytes = snap.to_bytes();
-        bytes[8] = 0xFF; // version low byte
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapError::VersionMismatch { expected: SNAP_VERSION, .. })
-        ));
-    }
-
-    #[test]
-    fn wire_form_rejects_truncation_and_trailing_garbage() {
-        let snap = roundtrip(|w| w.scoped("a", |w| w.u64(42)));
-        let bytes = snap.to_bytes();
-        assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(Snapshot::from_bytes(&longer).is_err());
     }
 
     #[test]
@@ -1904,21 +1667,21 @@ mod tests {
         walk(&mut w);
         let direct = Snapshot::new(5, 10, w);
 
-        let mut sink = MemorySink::new();
-        sink.begin(SNAP_VERSION, 5, 10).expect("begin");
+        let mut wire = Vec::new();
+        let mut sink = StreamSink::new(&mut wire, false);
+        sink.begin(5, 10).expect("begin");
         let mut w = SnapWriter::streaming(&mut sink);
         walk(&mut w);
         w.finish().expect("streamed walk");
         sink.finish().expect("finish");
-        let streamed = sink.into_snapshot();
-        assert_eq!(direct, streamed);
-        assert_eq!(direct.to_bytes(), streamed.to_bytes());
+        assert_eq!(wire, direct.to_bytes());
+        assert_eq!(Snapshot::from_stream_bytes(&wire).expect("parse"), direct);
     }
 
     #[test]
     fn streaming_writer_rejects_reopened_sections() {
-        let mut sink = CountingSink::new();
-        sink.begin(SNAP_VERSION, 0, 0).expect("begin");
+        let mut sink = StreamSink::new(std::io::sink(), false);
+        sink.begin(0, 0).expect("begin");
         let mut w = SnapWriter::streaming(&mut sink);
         w.scoped("a", |w| w.u8(1));
         w.scoped("a", |w| w.u8(2)); // already flushed to the sink
@@ -1926,11 +1689,13 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_agrees_with_state_digest() {
+    fn stream_sink_agrees_with_state_digest() {
         let snap = sample(9, 77);
-        let mut sink = CountingSink::new();
-        snap.write_to(&mut sink).expect("count");
-        assert_eq!(sink.sections(), snap.sections().len());
+        let mut sink = StreamSink::new(std::io::sink(), true);
+        sink.begin(snap.config_digest, snap.cycle).expect("begin");
+        for (name, data) in snap.sections() {
+            sink.section(name, data).expect("section");
+        }
         assert_eq!(sink.raw_bytes(), snap.payload_bytes() as u64);
         assert_eq!(sink.state_digest(), snap.state_digest());
     }
@@ -1960,6 +1725,15 @@ mod tests {
         let mut bad = wire.clone();
         bad[0] = b'X';
         assert_eq!(Snapshot::from_stream_bytes(&bad), Err(SnapError::BadMagic));
+        let mut bad = wire.clone();
+        bad[8] = 0xFF; // version low byte
+        assert!(matches!(
+            Snapshot::from_stream_bytes(&bad),
+            Err(SnapError::VersionMismatch { expected: SNAP_VERSION, .. })
+        ));
+        let mut longer = wire.clone();
+        longer.push(0);
+        assert!(matches!(Snapshot::from_stream_bytes(&longer), Err(SnapError::Corrupt(_))));
         let mut bad = wire.clone();
         *bad.last_mut().expect("non-empty") ^= 0xFF; // trailer digest
         assert!(matches!(Snapshot::from_stream_bytes(&bad), Err(SnapError::Corrupt(_))));
@@ -2060,6 +1834,7 @@ mod tests {
         let d = SnapDelta::between(&base, &next).expect("delta");
         let wire = d.to_bytes();
         assert_eq!(SnapDelta::from_bytes(&wire).expect("round-trip"), d);
+        assert_eq!(SnapDelta::from_bytes(&d.to_stream_bytes(true)).expect("compressed"), d);
         let mut bad = wire.clone();
         bad[0] = b'X';
         assert_eq!(SnapDelta::from_bytes(&bad), Err(SnapError::BadMagic));
@@ -2078,8 +1853,5 @@ mod tests {
         assert_eq!(a.state_digest(), sample(1, 10).state_digest());
         assert_ne!(a.state_digest(), sample(2, 10).state_digest());
         assert_ne!(a.state_digest(), sample(1, 11).state_digest());
-        let digests = a.section_digests();
-        assert_eq!(digests.len(), a.sections().len());
-        assert_eq!(digests[0].0, "alpha");
     }
 }

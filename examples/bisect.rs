@@ -49,7 +49,7 @@ fn main() {
 
     // The wire form is what a checkpoint file holds; a fresh process
     // rebuilds the platform from the same Config and restores into it.
-    let snap = Snapshot::from_bytes(&wire).expect("wire round-trip");
+    let snap = Snapshot::from_stream_bytes(&wire).expect("wire round-trip");
     let mut resumed = build(cfg.clone());
     resumed.restore(&snap).expect("restore into a fresh platform");
 

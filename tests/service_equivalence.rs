@@ -82,8 +82,8 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
     let bs = b.final_snapshot().expect("stored stream parses").expect("baseline captured");
     if cs != bs {
         let (csnap, bsnap) = (
-            Snapshot::from_bytes(&cs).expect("churned bytes parse"),
-            Snapshot::from_bytes(&bs).expect("baseline bytes parse"),
+            Snapshot::from_stream_bytes(&cs).expect("churned bytes parse"),
+            Snapshot::from_stream_bytes(&bs).expect("baseline bytes parse"),
         );
         panic!(
             "[{label}] migrated run diverged from uninterrupted run; first divergent \
@@ -154,7 +154,7 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     // "Another process": a fresh platform built from the replayed spec.
     let replayed = JobSpec::from_text(&spec.to_text()).expect("spec replays");
     let mut second = replayed.build();
-    second.restore(&Snapshot::from_bytes(&parked).expect("bytes parse")).expect("restores");
+    second.restore(&Snapshot::from_stream_bytes(&parked).expect("bytes parse")).expect("restores");
     let already = second.now();
     let mut spent = already;
     while spent < spec.budget && !second.is_idle() {

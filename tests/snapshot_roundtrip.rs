@@ -4,13 +4,15 @@
 //! `architectural()` metrics — under the serial stepper, the
 //! epoch-parallel stepper, and a (quiet) fault-injected run. Plus the
 //! format-evolution guards: unknown trailing fields, unknown sections,
-//! version skew, and config skew are typed errors, never UB.
+//! version skew, config skew, a flipped payload byte, and a frame of the
+//! wrong kind are typed errors, never UB.
 
 use std::sync::Arc;
 
 use smappic::platform::{Config, FaultSpec, Platform, Topology, DRAM_BASE};
 use smappic::sim::{
-    EthParams, FaultPlan, FaultProfile, SimRng, SnapDelta, SnapError, Snapshot, StreamSink,
+    EthParams, FaultPlan, FaultProfile, SimRng, SnapDelta, SnapError, SnapSink, Snapshot,
+    StreamSink, StreamSource,
 };
 use smappic::tile::{TraceCore, TraceOp};
 
@@ -87,7 +89,7 @@ fn assert_resume_transparent(
 
     // Cross-process shape: the snapshot survives its wire form.
     let wire = snap.to_bytes();
-    let snap = Snapshot::from_bytes(&wire).expect("wire round-trip");
+    let snap = Snapshot::from_stream_bytes(&wire).expect("wire round-trip");
 
     let mut resumed = mk();
     resumed.restore(&snap).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
@@ -321,34 +323,35 @@ fn ethernet_fault_roundtrip_covers_jitter_and_sequence_state() {
 // Format evolution: every mismatch is a typed error.
 // ---------------------------------------------------------------------------
 
-/// Offset of the section table in the wire form: magic(8) + version(4) +
-/// digest(8) + cycle(8) + count(4).
-const WIRE_SECTIONS_AT: usize = 32;
-const WIRE_COUNT_AT: usize = 28;
+/// Re-frames a full snapshot frame through the public stream API,
+/// letting `edit` change its sections on the way — how a newer build's
+/// image looks to this one.
+fn reframe(wire: &[u8], edit: impl FnOnce(&mut Vec<(String, Vec<u8>)>)) -> Vec<u8> {
+    let mut src = StreamSource::open(wire).expect("frame opens");
+    let mut sections = Vec::new();
+    while let Some(section) = src.next_section().expect("frame reads") {
+        sections.push(section);
+    }
+    edit(&mut sections);
+    let mut out = Vec::new();
+    let mut sink = StreamSink::new(&mut out, false);
+    sink.begin(src.config_digest(), src.cycle()).expect("begin");
+    for (name, data) in &sections {
+        sink.section(name, data).expect("section");
+    }
+    sink.finish().expect("finish");
+    out
+}
 
 /// Appends one unknown trailing byte to the first section of a serialized
 /// snapshot (simulating a field written by a newer build).
 fn grow_first_section(wire: &[u8]) -> Vec<u8> {
-    let mut out = wire.to_vec();
-    let nlen = u32::from_le_bytes(out[WIRE_SECTIONS_AT..WIRE_SECTIONS_AT + 4].try_into().unwrap())
-        as usize;
-    let dlen_at = WIRE_SECTIONS_AT + 4 + nlen;
-    let dlen = u32::from_le_bytes(out[dlen_at..dlen_at + 4].try_into().unwrap()) as usize;
-    out[dlen_at..dlen_at + 4].copy_from_slice(&((dlen + 1) as u32).to_le_bytes());
-    out.insert(dlen_at + 4 + dlen, 0xA5);
-    out
+    reframe(wire, |sections| sections[0].1.push(0xA5))
 }
 
 /// Appends a whole unknown section (a component a newer build snapshots).
 fn append_unknown_section(wire: &[u8], name: &str) -> Vec<u8> {
-    let mut out = wire.to_vec();
-    let count = u32::from_le_bytes(out[WIRE_COUNT_AT..WIRE_COUNT_AT + 4].try_into().unwrap());
-    out[WIRE_COUNT_AT..WIRE_COUNT_AT + 4].copy_from_slice(&(count + 1).to_le_bytes());
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(&4u32.to_le_bytes());
-    out.extend_from_slice(&[1, 2, 3, 4]);
-    out
+    reframe(wire, |sections| sections.push((name.to_owned(), vec![1, 2, 3, 4])))
 }
 
 #[test]
@@ -356,7 +359,8 @@ fn unknown_trailing_fields_are_a_versioned_error_not_ub() {
     let mut p = workload(1, 2, 4, 0x71, None);
     p.run(5_000);
     let wire = p.snapshot().to_bytes();
-    let grown = Snapshot::from_bytes(&grow_first_section(&wire)).expect("container still parses");
+    let grown =
+        Snapshot::from_stream_bytes(&grow_first_section(&wire)).expect("container still parses");
     let mut fresh = workload(1, 2, 4, 0x71, None);
     match fresh.restore(&grown) {
         Err(SnapError::TrailingBytes(section)) => {
@@ -371,8 +375,9 @@ fn unknown_sections_are_rejected_by_name() {
     let mut p = workload(1, 1, 4, 0x72, None);
     p.run(5_000);
     let wire = p.snapshot().to_bytes();
-    let grown = Snapshot::from_bytes(&append_unknown_section(&wire, "fpga0.node0.l2_prefetcher"))
-        .expect("container still parses");
+    let grown =
+        Snapshot::from_stream_bytes(&append_unknown_section(&wire, "fpga0.node0.l2_prefetcher"))
+            .expect("container still parses");
     let mut fresh = workload(1, 1, 4, 0x72, None);
     match fresh.restore(&grown) {
         Err(SnapError::UnexpectedSection(s)) => assert_eq!(s, "fpga0.node0.l2_prefetcher"),
@@ -386,7 +391,7 @@ fn version_skew_is_rejected_at_the_container() {
     p.run(1_000);
     let mut wire = p.snapshot().to_bytes();
     wire[8..12].copy_from_slice(&999u32.to_le_bytes());
-    match Snapshot::from_bytes(&wire) {
+    match Snapshot::from_stream_bytes(&wire) {
         Err(SnapError::VersionMismatch { found: 999, .. }) => {}
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
@@ -416,7 +421,61 @@ fn truncated_container_is_a_corrupt_error() {
     p.run(500);
     let wire = p.snapshot().to_bytes();
     for cut in [7, 20, wire.len() / 2, wire.len() - 1] {
-        assert!(Snapshot::from_bytes(&wire[..cut]).is_err(), "truncation at {cut} must not parse");
+        assert!(
+            Snapshot::from_stream_bytes(&wire[..cut]).is_err(),
+            "truncation at {cut} must not parse"
+        );
+    }
+}
+
+/// Length of a frame's trailer: end tag, section count, digest.
+const TRAILER: usize = 13;
+
+/// Flips one byte in the middle of the last section's payload, which
+/// sits just before the trailer.
+fn flip_last_payload_byte(wire: &[u8], last: &[u8]) -> Vec<u8> {
+    assert!(!last.is_empty(), "the last section must carry payload to flip");
+    let mut bad = wire.to_vec();
+    bad[wire.len() - TRAILER - 1 - last.len() / 2] ^= 0x10;
+    bad
+}
+
+#[test]
+fn a_flipped_payload_byte_is_a_corrupt_error_not_a_silent_restore() {
+    let mut p = workload(1, 2, 4, 0x76, None);
+    let s0 = p.snapshot();
+    p.run(3_000);
+    let snap = p.snapshot();
+    let last = &snap.sections().last().expect("sections").1;
+    let bad = flip_last_payload_byte(&snap.to_bytes(), last);
+    match Snapshot::from_stream_bytes(&bad) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("flipped snapshot byte: expected Corrupt, got {other:?}"),
+    }
+    let mut fresh = workload(1, 2, 4, 0x76, None);
+    assert!(matches!(fresh.restore_from(&bad[..]), Err(SnapError::Corrupt(_))));
+
+    let d = SnapDelta::between(&s0, &snap).expect("delta");
+    let last = &d.sections().last().expect("dirty sections").1;
+    let bad = flip_last_payload_byte(&d.to_bytes(), last);
+    match SnapDelta::from_bytes(&bad) {
+        Err(SnapError::Corrupt(_)) => {}
+        other => panic!("flipped delta byte: expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_frame_of_the_wrong_kind_is_a_typed_error() {
+    let mut p = workload(1, 1, 4, 0x77, None);
+    let s0 = p.snapshot();
+    p.run(2_000);
+    let d = p.snapshot_delta(&s0).expect("delta");
+    let delta_wire = d.to_bytes();
+    assert!(matches!(Snapshot::from_stream_bytes(&delta_wire), Err(SnapError::Corrupt(_))));
+    let mut fresh = workload(1, 1, 4, 0x77, None);
+    assert!(matches!(fresh.restore_from(&delta_wire[..]), Err(SnapError::Corrupt(_))));
+    for full_wire in [s0.to_bytes(), s0.to_stream_bytes(true)] {
+        assert!(matches!(SnapDelta::from_bytes(&full_wire), Err(SnapError::Corrupt(_))));
     }
 }
 
