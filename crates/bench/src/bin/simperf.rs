@@ -35,7 +35,9 @@
 //! (`--cycles N` overrides the per-run simulated cycle count;
 //! `--floor FILE` additionally checks every measured fast-serial rate
 //! against the committed per-config floors in FILE, failing the run on a
-//! >20% regression — the CI perf-smoke gate).
+//! regression of more than 20%, and every fast-over-reference ratio
+//! against FILE's per-config `min_fast_speedup` — the CI perf-smoke
+//! gate).
 //!
 //! # Scale mode
 //!
@@ -414,12 +416,16 @@ fn arg_str(name: &str) -> Option<String> {
     None
 }
 
-/// Extracts `"label": <number>` from a floor file without a JSON parser
-/// (the workspace has none). The floor format keeps each config on its
-/// own line precisely so this scan is unambiguous.
-fn floor_for(text: &str, label: &str) -> Option<f64> {
+/// Extracts `"label": <number>` from the `"section": { ... }` object of a
+/// floor file without a JSON parser (the workspace has none). The floor
+/// format keeps each config on its own line inside flat sections
+/// precisely so this scan is unambiguous.
+fn floor_for(text: &str, section: &str, label: &str) -> Option<f64> {
+    let head = format!("\"{section}\":");
+    let body = &text[text.find(&head)? + head.len()..];
+    let body = &body[..body.find('}')?];
     let key = format!("\"{label}\":");
-    let rest = &text[text.find(&key)? + key.len()..];
+    let rest = &body[body.find(&key)? + key.len()..];
     let num: String = rest
         .trim_start()
         .chars()
@@ -428,28 +434,45 @@ fn floor_for(text: &str, label: &str) -> Option<f64> {
     num.parse().ok()
 }
 
-/// The CI perf-smoke gate: every measured config with a committed floor
-/// must reach at least 80% of it (a >20% serial-throughput regression
-/// fails the run). Floors are deliberately conservative — captured well
-/// below the reference machine's numbers — so host-speed variance does
-/// not trip the gate, while a real fast-path regression (5x is a lot of
-/// margin) still does.
+/// The CI perf-smoke gate, two checks per measured config:
+///
+/// - `floors`: the fast-serial rate must reach at least 80% of its floor
+///   (a >20% serial-throughput regression fails the run). Floors are
+///   deliberately conservative — captured well below the reference
+///   machine's numbers — so host-speed variance does not trip the gate,
+///   while a real fast-path regression still does.
+/// - `min_fast_speedup`: fast serial over the plain reference, both timed
+///   on this host in this run, must reach the committed ratio. A ratio
+///   cancels host speed, so it can be tight: it says the fast path must
+///   never again lose to the reference it shortcuts.
 fn check_floor(path: &str, runs: &[Measurement]) {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read floor file {path}: {e}"));
     let mut checked = 0;
     for m in runs {
-        let Some(floor) = floor_for(&text, m.label) else { continue };
-        let min = floor * 0.8;
-        let measured = m.serial_rate();
-        assert!(
-            measured >= min,
-            "perf regression: {} fast-serial {measured:.0} cyc/s fell below 80% of the committed \
-             floor {floor:.0} cyc/s (minimum {min:.0})",
-            m.label
-        );
-        println!("floor ok: {} {measured:.0} cyc/s >= 80% of {floor:.0}", m.label);
-        checked += 1;
+        if let Some(floor) = floor_for(&text, "floors", m.label) {
+            let min = floor * 0.8;
+            let measured = m.serial_rate();
+            assert!(
+                measured >= min,
+                "perf regression: {} fast-serial {measured:.0} cyc/s fell below 80% of the \
+                 committed floor {floor:.0} cyc/s (minimum {min:.0})",
+                m.label
+            );
+            println!("floor ok: {} {measured:.0} cyc/s >= 80% of {floor:.0}", m.label);
+            checked += 1;
+        }
+        if let Some(min) = floor_for(&text, "min_fast_speedup", m.label) {
+            let measured = m.fast_speedup();
+            assert!(
+                measured >= min,
+                "perf regression: {} fast serial is only {measured:.2}x the reference, below \
+                 the committed minimum {min:.2}x",
+                m.label
+            );
+            println!("speedup ok: {} fast serial {measured:.2}x reference >= {min:.2}x", m.label);
+            checked += 1;
+        }
     }
     assert!(checked > 0, "floor file {path} names none of the measured configs");
 }

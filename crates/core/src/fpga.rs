@@ -137,7 +137,13 @@ impl Fpga {
     /// `now`. `Cycle::MAX` means only PCIe deliveries can create work.
     /// Always `None` in reference mode so a warp never fires there.
     pub fn quiet_bound(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fast_path || !self.xbar.pump_is_noop() || !self.shell.warp_quiet_ok() {
+        // The awake-tile probe goes first: it fails fast on every busy
+        // cycle, before the crossbar, shell and chipset probes run.
+        if !self.fast_path
+            || self.nodes.iter().any(|n| n.any_tile_awake(now))
+            || !self.xbar.pump_is_noop()
+            || !self.shell.warp_quiet_ok()
+        {
             return None;
         }
         let mut bound = Cycle::MAX;

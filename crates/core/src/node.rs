@@ -17,6 +17,9 @@ pub struct Node {
     mesh: Mesh,
     tiles: Vec<Tile>,
     chipset: Chipset,
+    /// Host fast-path switch for the node's own pumping (see
+    /// [`Node::set_fast_path`]). Host-side derived state, never serialized.
+    fast_path: bool,
 }
 
 impl Node {
@@ -65,7 +68,7 @@ impl Node {
         let memctl = MemController::new(MemControllerConfig::new(Gid::chipset(id)), dram);
         let bridge = InterNodeBridge::new(id, p.bridge_extra_latency, p.bridge_bytes_per_cycle);
         let chipset = Chipset::new(id, tiles_n, memctl, bridge);
-        Self { id, mesh, tiles, chipset }
+        Self { id, mesh, tiles, chipset, fast_path: true }
     }
 
     /// The node's ID.
@@ -136,9 +139,11 @@ impl Node {
 
     /// Toggles the node's entire host-side fast path: decoded-block
     /// dispatch in every engine, per-component sleep in tiles and the
-    /// chipset, and the mesh's empty-tick elision. Off reproduces the
-    /// plain reference simulator, bit-identically.
+    /// chipset, the busy-tile and tile-pump elisions, and the mesh's
+    /// empty-tick elision. Off reproduces the plain reference simulator,
+    /// bit-identically.
     pub fn set_fast_path(&mut self, on: bool) {
+        self.fast_path = on;
         for t in &mut self.tiles {
             t.set_fast_path(on);
         }
@@ -168,18 +173,18 @@ impl Node {
     /// the node must tick at `now`. `Cycle::MAX` means only external input
     /// (bridge AXI traffic) can create work.
     pub fn quiet_bound(&self, now: Cycle) -> Option<Cycle> {
-        if !self.mesh.is_drained() {
+        // Fail fast on the common busy case: an awake tile.
+        if self.any_tile_awake(now) || !self.mesh.is_drained() {
             return None;
         }
-        let mut bound = self.chipset.quiet_bound(now)?;
-        for t in &self.tiles {
-            let wake = t.wake_at()?;
-            if wake <= now {
-                return None;
-            }
-            bound = bound.min(wake);
-        }
-        Some(bound)
+        let bound = self.chipset.quiet_bound(now)?;
+        Some(self.tiles.iter().filter_map(Tile::wake_at).fold(bound, Cycle::min))
+    }
+
+    /// True when some tile must tick at `now` (its sleep is not armed or
+    /// is due), so the node cannot be on its quiet path.
+    pub fn any_tile_awake(&self, now: Cycle) -> bool {
+        self.tiles.iter().any(|t| !t.is_sleeping(now))
     }
 
     /// Applies the `delta` quiet-path ticks of `[now, now + delta)` in one
@@ -222,10 +227,7 @@ impl Node {
         // (engine aging, mtime increment). Any wake condition — external
         // push, probe firing, sleep expiry — falls through to the full
         // path, so behaviour is bit-identical.
-        if self.mesh.is_drained()
-            && self.chipset.tick_is_noop(now)
-            && self.tiles.iter().all(|t| t.is_sleeping(now))
-        {
+        if !self.any_tile_awake(now) && self.mesh.is_drained() && self.chipset.tick_is_noop(now) {
             for t in &mut self.tiles {
                 t.tick(now);
             }
@@ -240,8 +242,16 @@ impl Node {
 
         // Tiles ↔ mesh. Injection is pumped per virtual network so a
         // congested request network never blocks response traffic
-        // (deadlock freedom).
+        // (deadlock freedom). With the mesh drained after its tick no
+        // eject queue holds a packet, and injection fills router inputs,
+        // never eject queues, so a tile with empty egress has nothing to
+        // pump: every pop would return `None`, and pops on empty ports are
+        // meter-neutral. The fast path skips such tiles.
+        let skip_quiet = self.fast_path && self.mesh.is_drained();
         for (i, tile) in self.tiles.iter_mut().enumerate() {
+            if skip_quiet && !tile.has_egress() {
+                continue;
+            }
             let ti = i as TileId;
             while let Some(p) = self.mesh.eject(ti) {
                 tile.push_noc(now, p);

@@ -157,6 +157,14 @@ fn priority_preemption_parks_a_running_lower_priority_job() {
     // capped at one in flight, so the second one *waits* while a
     // priority-0 filler runs on the free worker. Under WhenOutranked the
     // filler must park (via the ordinary snapshot path) while outranked.
+    //
+    // Sizing, in simulated cycles: gate-1 stays queued until gate-0 has
+    // run all of its ~104k cycles, about 50 quanta. The filler parks at
+    // its first quantum boundary, 2k cycles into its own run, so it
+    // misses the window only if its worker gets no CPU while gate-0's
+    // worker runs 50 quanta. A gate job of the filler's size (~14.5k
+    // cycles, 7 quanta) left the filler a window of a few host
+    // milliseconds, which thread start-up skew alone could miss.
     let mk = |name: &str, tenant: &str, priority: u8, ops: u64| {
         let mut s = JobSpec::small(name, WorkloadSpec::AmoHeavy { ops, seed: 0xCAFE });
         s.tenant = tenant.into();
@@ -165,8 +173,8 @@ fn priority_preemption_parks_a_running_lower_priority_job() {
         s
     };
     let specs = vec![
-        mk("gate-0", "gate", JobSpec::MAX_PRIORITY, 60),
-        mk("gate-1", "gate", JobSpec::MAX_PRIORITY, 60),
+        mk("gate-0", "gate", JobSpec::MAX_PRIORITY, 600),
+        mk("gate-1", "gate", JobSpec::MAX_PRIORITY, 600),
         mk("filler", "free", 0, 60),
     ];
     let cfg = SchedulerConfig {

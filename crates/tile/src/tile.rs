@@ -130,7 +130,7 @@ impl Tile {
             && self.bpc.is_idle()
             && self.llc.is_idle()
             && self.pending_mmio.is_empty()
-            && self.out.iter().all(Port::is_empty)
+            && !self.has_egress()
     }
 
     /// Merges every port meter in the tile (egress VN queues, MMIO retry
@@ -191,12 +191,10 @@ impl Tile {
     /// returned cycle) can be skipped: every queue must be drained — so a
     /// tick provably moves nothing — and the engine must schedule no event
     /// before then. `Cycle::MAX` encodes "only external input matters".
-    fn sleep_check(&self, next: Cycle) -> Option<Cycle> {
-        if !self.bpc.is_quiet()
-            || !self.llc.is_quiet()
-            || !self.pending_mmio.is_empty()
-            || self.out.iter().any(|q| !q.is_empty())
-        {
+    /// `bpc_quiet` and `llc_quiet` are the caches' current quiet probes,
+    /// which the caller has already taken.
+    fn sleep_check(&self, next: Cycle, bpc_quiet: bool, llc_quiet: bool) -> Option<Cycle> {
+        if !bpc_quiet || !llc_quiet || !self.pending_mmio.is_empty() || self.has_egress() {
             return None;
         }
         match self.engine.next_event_after(next) {
@@ -204,6 +202,13 @@ impl Tile {
             Some(t) if t > next => Some(t),
             Some(_) => None,
         }
+    }
+
+    /// True when any egress queue holds a packet for the mesh. While it
+    /// is false every [`Tile::pop_noc_vn`] returns `None`, so the node may
+    /// skip this tile's injection pump.
+    pub fn has_egress(&self) -> bool {
+        self.out.iter().any(|q| !q.is_empty())
     }
 
     /// Advances one cycle.
@@ -222,26 +227,67 @@ impl Tile {
             self.sleep_until = None;
         }
         self.engine.tick(now, &mut BpcTri(&mut self.bpc));
+        if !self.fast_path {
+            self.tick_components(now);
+            return;
+        }
+
+        // Busy path: tick only the components that hold work. The engine
+        // talks to the BPC alone, so both probes are final for this cycle
+        // once it has stepped. A quiet BPC's tick pops nothing (no maturing
+        // response, no protocol input), and a quiet LLC slice's tick only
+        // ages its clock, which `sync_quiet` does. Pops on empty ports are
+        // meter-neutral, so the skipped drains change no meter either.
+        let bpc_quiet = self.bpc.is_quiet();
+        if !bpc_quiet {
+            self.bpc.tick(now);
+        }
+        let llc_quiet = self.llc.is_quiet();
+        if llc_quiet {
+            self.llc.sync_quiet(now);
+        } else {
+            self.llc.tick(now);
+        }
+        if !self.pending_mmio.is_empty() {
+            self.retry_mmio(now);
+        }
+        if !bpc_quiet || !llc_quiet {
+            self.drain_caches();
+        }
+        // Reuse a quiet probe: a quiet cache stayed quiet (nothing above
+        // feeds it), and only a busy one needs probing again.
+        let bpc_quiet = bpc_quiet || self.bpc.is_quiet();
+        let llc_quiet = llc_quiet || self.llc.is_quiet();
+        self.sleep_until = self.sleep_check(now + 1, bpc_quiet, llc_quiet);
+    }
+
+    /// The reference tick after the engine step: every component, every
+    /// cycle.
+    fn tick_components(&mut self, now: Cycle) {
         self.bpc.tick(now);
         self.llc.tick(now);
+        self.retry_mmio(now);
+        self.drain_caches();
+    }
 
-        // Retry the oldest pending MMIO access.
+    /// Retries the oldest pending MMIO access.
+    fn retry_mmio(&mut self, now: Cycle) {
         if let Some((src, store, addr, size, data)) = self.pending_mmio.pop() {
             match self.engine.mmio(now, store, addr, size, data) {
                 MmioResp::Pending => self.pending_mmio.push_front((src, store, addr, size, data)),
                 resp => self.answer_mmio(src, store, addr, resp),
             }
         }
+    }
 
-        // Drain cache outputs into the per-VN egress queues.
+    /// Drains cache outputs into the per-VN egress queues.
+    fn drain_caches(&mut self) {
         while let Some(p) = self.bpc.noc_pop() {
             self.out[p.vn.index()].push(p);
         }
         while let Some(p) = self.llc.noc_pop() {
             self.out[p.vn.index()].push(p);
         }
-
-        self.sleep_until = if self.fast_path { self.sleep_check(now + 1) } else { None };
     }
 
     fn answer_mmio(&mut self, src: Gid, store: bool, addr: u64, resp: MmioResp) {

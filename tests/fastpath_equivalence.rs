@@ -8,9 +8,11 @@
 //! The programs target exactly the places where a decoded-block cache can
 //! go wrong: self-modifying stores into a hot block (with and without
 //! `fence.i`), a block straddling a page boundary, MMIO reads inside a
-//! replayed block, and exceptions raised mid-block.
+//! replayed block, and exceptions raised mid-block — and where the busy
+//! tile path can: egress and ejection on compute-bound tiles, and
+//! interrupts reaching a core that never sleeps.
 
-use smappic::platform::{Config, Platform, DRAM_BASE};
+use smappic::platform::{Config, Platform, CLINT_BASE, DRAM_BASE};
 use smappic::tile::{ArianeConfig, ArianeCore, TraceCore, TraceOp};
 
 /// CLINT mtime register: `CLINT_BASE` (0x6100_0000) + 0xBFF8.
@@ -332,4 +334,158 @@ fn fast_serial_fast_parallel_and_reference_agree() {
         perf.skipped_tile_cycles > 0,
         "contention workload must let the scheduler elide some tile ticks"
     );
+}
+
+/// A compute hart of the busy-tile platform: a xorshift ALU loop that
+/// polls `flag` every 64 rounds and counts the changes it sees in s9.
+/// Hart 0 also takes interrupts: software (IPI) ones, cleared through its
+/// MSIP register and counted in s10, and a periodic timer, re-armed 4000
+/// cycles ahead and counted in s11.
+fn busy_compute_hart(hart: u64, flag: u64) -> String {
+    let irqs = if hart == 0 {
+        r#"
+            li   t1, 0xBFF8
+            add  t1, t1, s1
+            ld   t2, 0(t1)           # mtime
+            li   t3, 1500
+            add  t2, t2, t3
+            li   t4, 0x4000
+            add  t4, t4, s1
+            sd   t2, 0(t4)           # mtimecmp[0] = mtime + 1500
+            li   t1, 0x88            # MSIE | MTIE
+            csrw mie, t1
+            li   t1, 8               # mstatus.MIE
+            csrs mstatus, t1
+        "#
+    } else {
+        ""
+    };
+    format!(
+        r#"
+            la   t0, handler
+            csrw mtvec, t0
+            li   s0, {flag:#x}
+            li   s1, {clint:#x}
+            li   s8, 0
+            li   s9, 0
+            li   s10, 0
+            li   s11, 0
+            li   a0, {seed}
+            {irqs}
+        poll:
+            li   t2, 64
+        alu:
+            slli t3, a0, 13
+            xor  a0, a0, t3
+            srli t3, a0, 7
+            xor  a0, a0, t3
+            slli t3, a0, 17
+            xor  a0, a0, t3
+            addi t2, t2, -1
+            bnez t2, alu
+            ld   t4, 0(s0)
+            beq  t4, s8, poll
+            mv   s8, t4
+            addi s9, s9, 1
+            j    poll
+        handler:
+            csrr t5, mcause
+            andi t5, t5, 0xff
+            li   t6, 7
+            beq  t5, t6, timer
+            sw   zero, {msip}(s1)    # clear our MSIP
+            addi s10, s10, 1
+            mret
+        timer:
+            li   t6, 0xBFF8
+            add  t6, t6, s1
+            ld   t5, 0(t6)
+            li   t6, 4000
+            add  t5, t5, t6
+            li   t6, 0x4000
+            add  t6, t6, s1
+            sd   t5, 0(t6)           # mtimecmp[0] = mtime + 4000
+            addi s11, s11, 1
+            mret
+        "#,
+        clint = CLINT_BASE,
+        seed = 0x1234_5678 + hart * 0x9E37,
+        msip = 4 * hart,
+    )
+}
+
+/// The busy-tile platform: one node of four Ariane tiles. Harts 0-2 run
+/// [`busy_compute_hart`]; hart 3 bumps the shared flag every ~1500 cycles
+/// and raises an IPI at hart 0 on every other bump.
+fn busy_tile_platform() -> Platform {
+    let mut p = Platform::new(Config::new(1, 1, 4));
+    let flag = DRAM_BASE + 0x20_0000;
+    let writer = format!(
+        r#"
+            li   s0, {flag:#x}
+            li   s1, {clint:#x}
+            li   s2, 0
+        bump:
+            li   t0, 500
+        spin:
+            addi t0, t0, -1
+            bnez t0, spin
+            addi s2, s2, 1
+            sd   s2, 0(s0)
+            andi t1, s2, 1
+            beqz t1, bump
+            li   t2, 1
+            sw   t2, 0(s1)           # MSIP[hart 0]
+            j    bump
+        "#,
+        clint = CLINT_BASE,
+    );
+    let sources = [
+        busy_compute_hart(0, flag),
+        busy_compute_hart(1, flag),
+        busy_compute_hart(2, flag),
+        writer,
+    ];
+    for (hart, src) in sources.iter().enumerate() {
+        let base = DRAM_BASE + 0x1_0000 * (hart as u64 + 1);
+        let img = smappic::isa::assemble(src, base).expect("busy-tile kernel assembles");
+        p.load_image(&img);
+        let map = p.addr_map(0);
+        let core = ArianeCore::new(ArianeConfig::new(hart as u64, base, map));
+        p.set_engine(0, hart as u16, Box::new(core));
+    }
+    p
+}
+
+#[test]
+fn busy_tiles_with_shared_polling_ipis_and_timers_stay_bit_identical() {
+    // Every tile is compute-bound, so it almost never sleeps: this drives
+    // the busy tile path (quiet caches skipped, empty pumps elided) through egress
+    // from busy tiles, ejection into busy tiles and interrupts reaching a
+    // core that never stops. Compare the twins every 5k cycles.
+    let mut fast = busy_tile_platform();
+    let mut reference = busy_tile_platform();
+    reference.set_fast_path(false);
+    for step in 1..=12 {
+        fast.run(5_000);
+        reference.run(5_000);
+        assert_bit_identical(&fast, &reference, &format!("busy tiles @ {}k", step * 5));
+    }
+    let core = |t: u16| {
+        fast.node(0).tile(t).engine().as_any().downcast_ref::<ArianeCore>().expect("ariane")
+    };
+    for t in 0..4 {
+        assert_eq!(core(t).exit_code(), None, "tile {t} must still be running");
+    }
+    let hart0 = core(0).hart();
+    assert!(hart0.reg(26) > 0, "hart 0 never took an IPI");
+    assert!(hart0.reg(27) > 0, "no timer interrupt fired");
+    for t in 0..3 {
+        assert!(core(t).hart().reg(25) > 0, "tile {t} never saw the shared flag change");
+    }
+    let perf = fast.host_perf();
+    assert!(perf.block_cache_hits > 0, "fast run never hit the block cache (vacuous)");
+    // Tiles sleep only while a core waits on memory: the busy path runs
+    // on all but a few percent of tile-cycles.
+    assert!(perf.skipped_tile_cycles < 4 * 60_000 / 10, "tiles must be busy, not asleep");
 }
